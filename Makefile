@@ -18,11 +18,8 @@ vet:
 race:
 	go test -race ./...
 
-# Observability-overhead pairs (nil tracer vs live collector) land in
-# BENCH_obs.json; core candidate-search before/after pairs (parallel kernel
-# vs serial reference) land in BENCH_core.json; sustained session throughput
-# (serial + parallel streams) lands in BENCH_throughput.json.
+# The repository benchmark: one run per workload gated in BENCHMARK.json
+# (see perfbench/README.md for the workloads and metrics).
 bench:
-	./scripts/bench_obs.sh
-	./scripts/bench_core.sh
-	./scripts/bench_throughput.sh
+	python3 perfbench/run.py --workload monitor-replay --seed 1 --seconds 30 --trace 0
+	python3 perfbench/run.py --workload monitor-durable --seed 1 --seconds 30 --trace 0

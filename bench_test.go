@@ -196,56 +196,47 @@ func setupInferFixture(b *testing.B, d session.Design) inferFixture {
 	}
 }
 
-// BenchmarkInferNoMux times CSI on a 10-minute HTTPS (SH) session.
+// coldTrace returns a new Trace over t's packets with an empty ByConn
+// memo, so each iteration splits the capture by connection as a freshly
+// received session does instead of reusing the previous iteration's split.
+func coldTrace(t *capture.Trace) *capture.Trace {
+	return &capture.Trace{Packets: t.Packets, SNI: t.SNI, DNS: t.DNS, ServerIP: t.ServerIP}
+}
+
+// BenchmarkInferNoMux times CSI on a cold 10-minute HTTPS (SH) session.
 func BenchmarkInferNoMux(b *testing.B) {
 	noMuxOnce.Do(func() { noMuxFix = setupInferFixture(b, session.SH) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Infer(noMuxFix.man, noMuxFix.run.Trace, noMuxFix.p); err != nil {
+		if _, err := core.Infer(noMuxFix.man, coldTrace(noMuxFix.run.Trace), noMuxFix.p); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkInferMux times CSI on a 10-minute QUIC-multiplexed (SQ) session.
+// BenchmarkInferMux times CSI on a cold 10-minute QUIC-multiplexed (SQ)
+// session.
 func BenchmarkInferMux(b *testing.B) {
 	muxOnce.Do(func() { muxFix = setupInferFixture(b, session.SQ) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Infer(muxFix.man, muxFix.run.Trace, muxFix.p); err != nil {
+		if _, err := core.Infer(muxFix.man, coldTrace(muxFix.run.Trace), muxFix.p); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// ---- observability overhead ----
-//
-// The obs layer promises that a nil tracer costs one pointer check on hot
-// paths. These pairs run the candidate search of the inference pipeline
-// with the production default (nil tracer) and with a live collector;
-// `make bench` records both (plus the sim/tcpsim pairs) in BENCH_obs.json.
-// Off must match the uninstrumented BenchmarkInferNoMux within noise.
-
-// BenchmarkInferObsOff runs the no-MUX inference with the nil tracer.
-func BenchmarkInferObsOff(b *testing.B) {
-	noMuxOnce.Do(func() { noMuxFix = setupInferFixture(b, session.SH) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Infer(noMuxFix.man, noMuxFix.run.Trace, noMuxFix.p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInferObsOn runs the same inference with a live collector sink;
-// the delta over ObsOff is the full cost of tracing the candidate search.
+// BenchmarkInferObsOn runs BenchmarkInferNoMux's inference with a live
+// collector sink. The obs layer promises that a nil tracer costs one
+// pointer check on hot paths, so the delta over BenchmarkInferNoMux is the
+// full cost of tracing the inference.
 func BenchmarkInferObsOn(b *testing.B) {
 	noMuxOnce.Do(func() { noMuxFix = setupInferFixture(b, session.SH) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := noMuxFix.p
 		p.Obs = obs.New(nil, obs.NewCollector())
-		if _, err := core.Infer(noMuxFix.man, noMuxFix.run.Trace, p); err != nil {
+		if _, err := core.Infer(noMuxFix.man, coldTrace(noMuxFix.run.Trace), p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,6 +32,7 @@ import (
 
 	"csi/internal/capture"
 	"csi/internal/core"
+	"csi/internal/guard"
 	"csi/internal/media"
 	"csi/internal/obs"
 	"csi/internal/obs/live"
@@ -169,7 +170,7 @@ func main() {
 		// (back-pressure, no shedding) and no wall time is read.
 		opts.ShedPolicy = stream.ShedBlock
 	} else {
-		opts.Clock = stream.WallClock()
+		opts.Clock = guard.WallClock()
 		opts.SolveDeadlineSec = *deadline
 	}
 

@@ -112,7 +112,6 @@ var taintAuditFiles = map[string]string{
 	"internal/guard/wallclock.go":     "opt-in -deadline liveness backstop",
 	"internal/obs/export.go":          "wallNow behind the WallClockMeta opt-in",
 	"internal/obs/live/live.go":       "-serve stage timing; durations stay in the ops plane's own registry",
-	"internal/stream/clock.go":        "live-mode monitor clock; replay passes a nil Clock and reads no wall time",
 	"internal/stream/recover.go":      "state-dir listing at open; replay order comes from sorted seq-numbered names (crash-matrix gate)",
 	"internal/stream/stream.go":       "ingest/handoff selects; ordering never reaches a result (replay gate)",
 }

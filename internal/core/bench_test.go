@@ -11,8 +11,9 @@ import (
 // benchMuxFixture builds a fixed-seed mux candidate-search workload from a
 // Table-3 service profile: a real sampled manifest plus synthetic traffic
 // groups whose estimates come from a ground-truth walk through it. The
-// fixture is deterministic — the perf numbers in BENCH_core.json compare
+// fixture is deterministic, so each `go test -bench` pair below compares
 // the parallel kernel against the serial reference on identical inputs.
+// These are microbenchmarks; the end-to-end benchmark is perfbench/.
 func benchMuxFixture(tb testing.TB) (*media.Manifest, *Estimation, Params) {
 	tb.Helper()
 	svc, err := media.ServiceByName("Facebook")

@@ -10,8 +10,8 @@ import (
 // This file preserves the pre-parallel serial candidate search verbatim
 // (modulo renames) as the reference implementation: the kernel in
 // muxsearch.go is cross-checked against it for correctness, and the
-// Benchmark*Serial benchmarks measure it as the "before" baseline for
-// BENCH_core.json.
+// Benchmark*Serial microbenchmarks measure it as the "before" baseline of
+// each bench_test.go pair.
 
 // serialBuildMuxGraph is the old buildMuxGraph driving the serial search.
 func serialBuildMuxGraph(man *media.Manifest, est *Estimation, p Params, tc *truthCtx) (*muxGraph, error) {

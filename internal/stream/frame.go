@@ -62,14 +62,21 @@ func WriteFrames(w io.Writer, frames []Frame) error {
 // prefix, while batch loading still fails loudly.
 var ErrTruncatedTail = errors.New("truncated tail")
 
+// maxFrameLine bounds one line of a frame stream, newline included, so a
+// producer that never sends a newline cannot grow the reader without bound.
+// A real frame is ~200 bytes. The bound also keeps every accepted frame
+// loggable: json.Marshal escapes a byte to at most 6 (`<` becomes \u003c),
+// and 6 MiB stays under walMaxRecordBytes.
+const maxFrameLine = 1 << 20
+
 // FrameReader decodes a JSONL frame stream incrementally, line by line, so
 // every error can say exactly where the damage is.
 type FrameReader struct {
-	br       *bufio.Reader
-	line     int    // 1-based line of the last read attempt
-	offset   int64  // byte offset of the start of that line
-	lastLine []byte // bytes consumed for the previous line (offset bookkeeping)
-	err      error  // sticky terminal error
+	br      *bufio.Reader
+	line    int   // 1-based line of the last read attempt
+	offset  int64 // byte offset of the start of that line
+	lastLen int   // bytes consumed for the previous line (offset bookkeeping)
+	err     error // sticky terminal error
 }
 
 // NewFrameReader reads frames from r.
@@ -87,18 +94,19 @@ func (fr *FrameReader) Offset() int64 { return fr.offset }
 // error carrying the line number and byte offset of the damage. A final
 // line that ends mid-record (no newline, unparseable) wraps
 // ErrTruncatedTail so recovery paths can distinguish a crash-truncated
-// recording from corruption. Blank lines are skipped. Errors are terminal:
-// after any non-nil error every further Next repeats it.
+// recording from corruption. A line longer than maxFrameLine is malformed
+// wherever it ends. Blank lines are skipped. Errors are terminal: after any
+// non-nil error every further Next repeats it.
 func (fr *FrameReader) Next() (Frame, error) {
 	var f Frame
 	if fr.err != nil {
 		return f, fr.err
 	}
 	for {
-		fr.offset += int64(len(fr.lastLine))
-		raw, rerr := fr.br.ReadBytes('\n')
+		fr.offset += int64(fr.lastLen)
+		raw, rerr := fr.readLine()
 		fr.line++
-		fr.lastLine = raw
+		fr.lastLen = len(raw)
 		if rerr != nil && rerr != io.EOF {
 			fr.err = fmt.Errorf("stream: line %d (byte offset %d): %w", fr.line, fr.offset, rerr)
 			return f, fr.err
@@ -128,6 +136,29 @@ func (fr *FrameReader) Next() (Frame, error) {
 		}
 		return f, nil
 	}
+}
+
+var errLineTooLong = fmt.Errorf("line longer than %d bytes", maxFrameLine)
+
+// readLine returns the next line, newline included. A line that fits the
+// bufio buffer, as every real frame does, is returned in place without a
+// copy and is valid only until the next read. Longer lines are gathered
+// up to maxFrameLine; the reader keeps the default 4 KiB buffer rather
+// than a maxFrameLine one, so a FrameReader stays cheap to create.
+func (fr *FrameReader) readLine() ([]byte, error) {
+	raw, err := fr.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return raw, err
+	}
+	line := append([]byte(nil), raw...)
+	for err == bufio.ErrBufferFull {
+		raw, err = fr.br.ReadSlice('\n')
+		if len(line)+len(raw) > maxFrameLine {
+			return nil, errLineTooLong
+		}
+		line = append(line, raw...)
+	}
+	return line, err
 }
 
 // ReadFrames decodes an entire JSONL stream.

@@ -5,6 +5,10 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"csi/internal/obs"
+	"csi/internal/session"
+	"csi/internal/testleak"
 )
 
 // The FrameReader's diagnostics are part of the durability story: when a
@@ -108,5 +112,66 @@ func TestFrameReaderEmptyStream(t *testing.T) {
 	}
 	if _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("EOF not sticky: %v", err)
+	}
+}
+
+// frameLine returns a valid close-frame line of exactly n bytes, newline
+// included, whose flow name is fill repeated.
+func frameLine(n int, fill byte) string {
+	const pre, post = `{"flow":"`, `","close":true}` + "\n"
+	return pre + strings.Repeat(string(fill), n-len(pre)-len(post)) + post
+}
+
+// A producer that never sends a newline must not grow the reader without
+// bound: a line past maxFrameLine is rejected at its start position, like
+// any malformed line, and is never mistaken for a crash-truncated tail.
+func TestFrameReaderLineTooLong(t *testing.T) {
+	first := `{"flow":"a","close":true}` + "\n"
+	long := strings.TrimSuffix(frameLine(maxFrameLine+2, 'x'), "\n") // maxFrameLine+1 bytes
+	for name, in := range map[string]string{
+		"mid-stream": first + long + "\n" + first,
+		"at EOF":     first + long,
+	} {
+		fr := NewFrameReader(strings.NewReader(in))
+		if _, err := fr.Next(); err != nil {
+			t.Fatalf("%s: first frame: %v", name, err)
+		}
+		_, err := fr.Next()
+		if !errors.Is(err, errLineTooLong) || errors.Is(err, ErrTruncatedTail) {
+			t.Fatalf("%s: over-long line: %v", name, err)
+		}
+		if fr.Line() != 2 || fr.Offset() != int64(len(first)) {
+			t.Fatalf("%s: reported at line %d offset %d, want line 2 offset %d", name, fr.Line(), fr.Offset(), len(first))
+		}
+		if !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "byte offset 26") {
+			t.Fatalf("%s: error lacks position: %v", name, err)
+		}
+	}
+}
+
+// Any line the reader accepts must fit one WAL record once re-encoded: a
+// frame at the bound made of characters json.Marshal escapes 6× still
+// appends to a durable monitor's WAL instead of switching durability off.
+func TestFrameAtBoundFitsWAL(t *testing.T) {
+	testleak.Check(t)
+	fr := NewFrameReader(strings.NewReader(frameLine(maxFrameLine, '<')))
+	f, err := fr.Next()
+	if err != nil {
+		t.Fatalf("frame at the bound rejected: %v", err)
+	}
+	tr := obs.New(nil, nil)
+	d, err := OpenDurability(t.TempDir(), DurabilityOptions{Obs: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := Recover(d, replayOpts(testManifest(t, session.SH), false))
+	rec.Monitor.Ingest(f)
+	rec.Monitor.Drain()
+	reg := tr.Metrics()
+	if n := reg.Counter("stream.wal_errors").Value(); n != 0 {
+		t.Fatalf("stream.wal_errors = %d: %+v", n, d.Status())
+	}
+	if n := reg.Counter("stream.wal_appends").Value(); n != 1 {
+		t.Fatalf("stream.wal_appends = %d, want 1", n)
 	}
 }

@@ -43,8 +43,8 @@ echo "== go test -race ./..."
 go test -race -timeout 30m ./...
 
 echo "== core bench smoke (1 iteration)"
-# One iteration of each mux candidate-search benchmark so the perf harness
-# behind scripts/bench_core.sh cannot rot without failing the gate.
+# One iteration of each mux candidate-search microbenchmark pair (parallel
+# kernel vs serial reference) so they cannot rot without failing the gate.
 go test -run='^$' -bench='^Benchmark(MuxCandidateSearch|WindowStats)(Serial)?$' \
     -benchtime=1x ./internal/core > /dev/null
 
@@ -111,11 +111,15 @@ go run ./cmd/csi-analyze -manifest "$obstmp/man.json" -run "$obstmp/run.json" \
 cmp "$obstmp/infer3.trace.jsonl" testdata/obs/infer.trace.jsonl
 cmp "$obstmp/infer3.metrics.txt" testdata/obs/infer.metrics.txt
 
-echo "== session throughput smoke (quick)"
-# One iteration of each throughput stream (serial + parallel, SH + SQ with
-# a shared warm half-cache) so the harness behind
-# scripts/bench_throughput.sh cannot rot without failing the gate.
-go run ./scripts/throughput -quick > /dev/null
+echo "== repository benchmark self-check (perfbench)"
+# Every perfbench workload at its smallest size on two seeds, traced and
+# untraced, behind the benchmark's correctness gate (replay bytes equal
+# stream.Batch, nothing shed or evicted), so the one harness cannot rot
+# without failing the gate.
+python3 perfbench/run.py --selfcheck > "$obstmp/selfcheck.log" 2>&1 || {
+    cat "$obstmp/selfcheck.log" >&2
+    exit 1
+}
 
 echo "== capture decoder fuzz smoke"
 # A few seconds of coverage-guided fuzzing over each run decoder. The static
