@@ -124,7 +124,8 @@ func hostMatches(host, hostSuffix string) bool {
 // when the trace has no plausible media flow.
 func (t *Trace) FallbackConnIDs(hostSuffix string) []int {
 	down := map[int]int64{}
-	for _, v := range t.Packets {
+	for i := range t.Packets {
+		v := &t.Packets[i]
 		if v.Dir == packet.Down && v.ConnID > 0 {
 			down[v.ConnID] += v.Size
 		}

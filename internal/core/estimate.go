@@ -149,7 +149,8 @@ func protoVote(byConn map[int][]packet.View, ids []int) (map[int]packet.Proto, p
 		if i == 0 {
 			proto = pk[0].Proto // single-conn/tie default
 		}
-		for _, v := range pk {
+		for j := range pk {
+			v := &pk[j]
 			if v.Dir != packet.Down {
 				continue
 			}
@@ -265,9 +266,10 @@ func estimateMuxSession(tr *capture.Trace, byConn map[int][]packet.View, ids []i
 				}
 				n++
 				var b int64
-				for _, v := range byConn[c] {
-					if v.Dir == packet.Down {
-						b += v.Size
+				pk := byConn[c]
+				for j := range pk {
+					if pk[j].Dir == packet.Down {
+						b += pk[j].Size
 					}
 				}
 				if b > best {
@@ -387,7 +389,8 @@ func estimateHTTPSConn(pkts []packet.View, gaps tcpGaps) ([]Request, error) {
 	var reqs []Request
 	var seen, seenUp ivl.Set
 	cur := -1
-	for _, v := range pkts {
+	for i := range pkts {
+		v := &pkts[i]
 		if v.TLSAppBytes == 0 {
 			continue // handshake, pure ACKs
 		}
@@ -442,7 +445,8 @@ func estimateQUICConn(pkts []packet.View, p Params, gaps quicGaps) ([]Request, e
 	var reqs []Request
 	var seenDown, seenUp ivl.Set
 	cur := -1
-	for _, v := range pkts {
+	for i := range pkts {
+		v := &pkts[i]
 		if v.Dir == packet.Up {
 			if v.QUICLong {
 				continue // handshake
@@ -505,7 +509,8 @@ func estimateMux(pkts []packet.View, p Params, gaps quicGaps) ([]Group, error) {
 	// append double through ~10 minutes of trace.
 	evs := make([]ev, 0, len(pkts))
 	var seenDown, seenUp ivl.Set
-	for _, v := range pkts {
+	for i := range pkts {
+		v := &pkts[i]
 		if v.Dir == packet.Up {
 			if v.QUICLong {
 				continue

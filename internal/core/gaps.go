@@ -40,7 +40,8 @@ func scanTCPGaps(pkts []packet.View) tcpGaps {
 	var dLo, dHi int64 = -1, -1
 	var uLo, uHi int64 = -1, -1
 	var payload, app int64
-	for _, v := range pkts {
+	for i := range pkts {
+		v := &pkts[i]
 		if v.TCPPayload <= 0 {
 			continue
 		}
@@ -101,7 +102,8 @@ func scanQUICGaps(pkts []packet.View) quicGaps {
 	var pns ivl.Set
 	var lo, hi int64 = -1, -1
 	var sum, n int64
-	for _, v := range pkts {
+	for i := range pkts {
+		v := &pkts[i]
 		if v.Dir != packet.Down {
 			continue
 		}

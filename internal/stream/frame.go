@@ -19,7 +19,6 @@ package stream
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -40,13 +39,18 @@ type Frame struct {
 	Packet packet.View `json:"packet"`
 }
 
-// WriteFrames encodes frames as JSONL.
+// WriteFrames encodes frames as JSONL, one json.Marshal encoding a line.
 func WriteFrames(w io.Writer, frames []Frame) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for i := range frames {
-		if err := enc.Encode(&frames[i]); err != nil {
+		var err error
+		if line, err = appendFrame(line[:0], &frames[i]); err != nil {
 			return fmt.Errorf("stream: encoding frame %d: %w", i, err)
+		}
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
+			return fmt.Errorf("stream: writing frames: %w", err)
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -77,6 +81,7 @@ type FrameReader struct {
 	offset  int64 // byte offset of the start of that line
 	lastLen int   // bytes consumed for the previous line (offset bookkeeping)
 	err     error // sticky terminal error
+	prev    Frame // last frame decoded, whose strings decodeFrame reuses
 }
 
 // NewFrameReader reads frames from r.
@@ -98,9 +103,8 @@ func (fr *FrameReader) Offset() int64 { return fr.offset }
 // wherever it ends. Blank lines are skipped. Errors are terminal: after any
 // non-nil error every further Next repeats it.
 func (fr *FrameReader) Next() (Frame, error) {
-	var f Frame
 	if fr.err != nil {
-		return f, fr.err
+		return Frame{}, fr.err
 	}
 	for {
 		fr.offset += int64(fr.lastLen)
@@ -109,18 +113,19 @@ func (fr *FrameReader) Next() (Frame, error) {
 		fr.lastLen = len(raw)
 		if rerr != nil && rerr != io.EOF {
 			fr.err = fmt.Errorf("stream: line %d (byte offset %d): %w", fr.line, fr.offset, rerr)
-			return f, fr.err
+			return Frame{}, fr.err
 		}
 		atEOF := rerr == io.EOF
 		trimmed := bytes.TrimSpace(raw)
 		if len(trimmed) == 0 {
 			if atEOF {
 				fr.err = io.EOF
-				return f, io.EOF
+				return Frame{}, io.EOF
 			}
 			continue // blank line
 		}
-		if err := json.Unmarshal(trimmed, &f); err != nil {
+		f := fr.prev
+		if err := decodeFrame(trimmed, &f); err != nil {
 			if atEOF {
 				// The recording stops mid-line: a crash-truncated tail,
 				// not corruption.
@@ -134,6 +139,7 @@ func (fr *FrameReader) Next() (Frame, error) {
 		if atEOF {
 			fr.err = io.EOF
 		}
+		fr.prev = f
 		return f, nil
 	}
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,6 +62,11 @@ type Durability struct {
 	dir  string
 	opts DurabilityOptions
 	w    *wal
+
+	// Encode buffers, reused across appends and snapshots (control
+	// goroutine only).
+	rec     []byte // one WAL record: header, then the frame's JSON
+	snapBuf []byte // one snapshot file
 
 	// Recovered state, consumed by Recover.
 	snap      *Snapshot
@@ -225,6 +229,11 @@ func (d *Durability) fail(err error) {
 	d.mu.Unlock()
 }
 
+// maxKeptRecordBuf caps the WAL record buffer a Durability keeps between
+// appends: a real frame needs ~300 bytes, and one oversized frame (up to
+// ~6 MiB escaped) should not stay resident.
+const maxKeptRecordBuf = 64 << 10
+
 // appendFrame logs one accepted frame before the monitor applies it.
 // Called by handleFrame on the control goroutine for every frame past
 // baseSeq.
@@ -236,12 +245,15 @@ func (d *Durability) appendFrame(seq uint64, f *Frame) {
 		return
 	}
 	crashpointHere("wal.pre_append")
-	payload, err := json.Marshal(f)
+	rec, err := appendFrame(append(d.rec[:0], make([]byte, walHeaderBytes)...), f)
 	if err != nil {
 		d.fail(fmt.Errorf("stream: encoding wal frame: %w", err))
 		return
 	}
-	n, err := d.w.append(seq, payload)
+	if cap(rec) <= maxKeptRecordBuf {
+		d.rec = rec
+	}
+	n, err := d.w.append(seq, rec)
 	if err != nil {
 		d.fail(err)
 		return
@@ -291,7 +303,13 @@ func (d *Durability) writeSnapshot(s *Snapshot) {
 	if failed {
 		return
 	}
-	path, err := writeSnapshotFile(d.dir, s)
+	buf, err := encodeSnapshot(d.snapBuf[:0], s)
+	if err != nil {
+		d.fail(err)
+		return
+	}
+	d.snapBuf = buf
+	path, err := writeSnapshotFile(d.dir, s.Seq, buf)
 	if err != nil {
 		d.fail(err)
 		return
@@ -402,7 +420,7 @@ func Recover(d *Durability, opts Options) *Recovered {
 	frames := make([]Frame, 0, len(d.tail))
 	for _, rec := range d.tail {
 		var f Frame
-		if err := json.Unmarshal(rec.payload, &f); err != nil {
+		if err := decodeFrame(rec.payload, &f); err != nil {
 			// CRC-clean but unparseable: corruption the checksum cannot
 			// see. Salvage stops here; the records behind it are
 			// unanchored, and the on-disk log is no longer consistent

@@ -215,11 +215,14 @@ func TestRecoverTornWALTailWarns(t *testing.T) {
 // every snapshot damaged, recovery proceeds from nothing.
 func TestSnapshotCorruptFallback(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := writeSnapshotFile(dir, &Snapshot{Version: snapshotVersion, Seq: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writeSnapshotFile(dir, &Snapshot{Version: snapshotVersion, Seq: 4}); err != nil {
-		t.Fatal(err)
+	for _, seq := range []uint64{2, 4} {
+		buf, err := encodeSnapshot(nil, &Snapshot{Version: snapshotVersion, Seq: seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := writeSnapshotFile(dir, seq, buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	smash := func(seq uint64) {
 		path := filepath.Join(dir, snapName(seq))
@@ -264,7 +267,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		Closed: []string{"a", "b"},
 		Flows:  []FlowSnap{{Name: "c", LastSeq: 16}},
 	}
-	buf, err := encodeSnapshot(s)
+	buf, err := encodeSnapshot(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}

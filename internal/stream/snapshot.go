@@ -57,6 +57,9 @@ const (
 // snapMagic seals the snapshot file header; bump with snapshotVersion.
 var snapMagic = [8]byte{'C', 'S', 'I', 'S', 'N', 'A', 'P', '1'}
 
+// snapHeaderBytes is the file header: magic, u32le CRC32, u64le length.
+const snapHeaderBytes = len(snapMagic) + 12
+
 func snapName(seq uint64) string {
 	return fmt.Sprintf("%s%020d%s", snapPrefix, seq, snapSuffix)
 }
@@ -73,24 +76,87 @@ func snapSeqOf(name string) (uint64, bool) {
 	return n, true
 }
 
-// encodeSnapshot renders the durable bytes: magic, CRC32 and length over
-// the JSON payload.
-func encodeSnapshot(s *Snapshot) ([]byte, error) {
-	payload, err := json.Marshal(s)
+// encodeSnapshot appends the durable bytes to buf: magic, CRC32 and length
+// over the JSON payload.
+func encodeSnapshot(buf []byte, s *Snapshot) ([]byte, error) {
+	buf = append(buf, snapMagic[:]...)
+	buf = append(buf, make([]byte, snapHeaderBytes-len(snapMagic))...)
+	buf, err := appendSnapshot(buf, s)
 	if err != nil {
-		return nil, fmt.Errorf("stream: encoding snapshot: %w", err)
+		return buf, fmt.Errorf("stream: encoding snapshot: %w", err)
 	}
-	buf := make([]byte, len(snapMagic)+12+len(payload))
-	copy(buf, snapMagic[:])
+	payload := buf[snapHeaderBytes:]
 	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(payload))
 	binary.LittleEndian.PutUint64(buf[12:], uint64(len(payload)))
-	copy(buf[20:], payload)
 	return buf, nil
+}
+
+// appendSnapshot appends json.Marshal(s)'s exact bytes, encoding packets
+// with the frame codec (codec.go); only Results goes through
+// encoding/json.
+func appendSnapshot(b []byte, s *Snapshot) ([]byte, error) {
+	start := len(b)
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, int64(s.Version), 10)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendUint(b, s.Seq, 10)
+	b = append(b, `,"final_seq":`...)
+	b = strconv.AppendUint(b, s.FinalSeq, 10)
+	b = append(b, `,"vnow":`...)
+	b, ok := appendFloat(b, s.VNow)
+	if len(s.Closed) > 0 {
+		b = append(b, `,"closed":[`...)
+		for i, name := range s.Closed {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, name)
+		}
+		b = append(b, ']')
+	}
+	if len(s.Flows) > 0 {
+		b = append(b, `,"flows":[`...)
+		for i := 0; ok && i < len(s.Flows); i++ {
+			fl := &s.Flows[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"name":`...)
+			b = appendString(b, fl.Name)
+			b = append(b, `,"last_seq":`...)
+			b = strconv.AppendUint(b, fl.LastSeq, 10)
+			b = append(b, `,"packets":`...)
+			if fl.Packets == nil {
+				b = append(b, "null"...)
+			} else {
+				b = append(b, '[')
+				for j := 0; ok && j < len(fl.Packets); j++ {
+					if j > 0 {
+						b = append(b, ',')
+					}
+					b, ok = appendView(b, &fl.Packets[j])
+				}
+				b = append(b, ']')
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if ok && len(s.Results) > 0 {
+		res, err := json.Marshal(s.Results)
+		ok = err == nil
+		b = append(b, `,"results":`...)
+		b = append(b, res...)
+	}
+	if !ok {
+		return marshalFallback(b[:start], s)
+	}
+	return append(b, '}'), nil
 }
 
 // decodeSnapshot verifies and parses a snapshot file's bytes.
 func decodeSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < len(snapMagic)+12 {
+	if len(data) < snapHeaderBytes {
 		return nil, fmt.Errorf("stream: snapshot too short (%d bytes)", len(data))
 	}
 	if [8]byte(data[:8]) != snapMagic {
@@ -98,7 +164,7 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 	sum := binary.LittleEndian.Uint32(data[8:])
 	ln := binary.LittleEndian.Uint64(data[12:])
-	payload := data[20:]
+	payload := data[snapHeaderBytes:]
 	if ln != uint64(len(payload)) {
 		return nil, fmt.Errorf("stream: snapshot length mismatch (header %d, body %d)", ln, len(payload))
 	}
@@ -115,17 +181,13 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	return &s, nil
 }
 
-// writeSnapshotFile persists a snapshot atomically: temp file in the same
-// directory, fsync, rename over the final name, fsync the directory. A
-// crash before the rename leaves the previous snapshot authoritative; a
-// crash after it leaves the new one — never a half-written file under the
-// real name.
-func writeSnapshotFile(dir string, s *Snapshot) (string, error) {
-	buf, err := encodeSnapshot(s)
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, snapName(s.Seq))
+// writeSnapshotFile persists buf, the encoded snapshot at seq, atomically:
+// temp file in the same directory, fsync, rename over the final name, fsync
+// the directory. A crash before the rename leaves the previous snapshot
+// authoritative; a crash after it leaves the new one — never a half-written
+// file under the real name.
+func writeSnapshotFile(dir string, seq uint64, buf []byte) (string, error) {
+	path := filepath.Join(dir, snapName(seq))
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

@@ -23,7 +23,8 @@ const (
 	// stall every flow).
 	ShedDrop = "drop"
 	// ShedBlock applies back-pressure to the producer (replay mode: every
-	// frame must be processed for byte-identical output).
+	// frame must be processed for byte-identical output). It also fixes the
+	// provisional solve cadence: see Options.ResolveEvery.
 	ShedBlock = "block"
 )
 
@@ -70,7 +71,16 @@ type Options struct {
 	// provisional inference warm for the status page. 0 disables mid-flow
 	// solves (each flow is solved once, at finalization). Provisional
 	// solves never change final results: the estimate memo and the half
-	// cache replay their work byte-identically.
+	// cache replay their work byte-identically. Under ShedDrop a flow whose
+	// solve is still running when its next one falls due is re-solved once
+	// that solve completes, over everything buffered by then, so fewer
+	// solves run under load. Under ShedBlock without Params.Mux the control
+	// loop waits for that solve instead, so a flow is solved at exactly
+	// every ResolveEvery-th packet and the solve count is a function of the
+	// frames alone. Mux flows coalesce in both modes: each of their solves
+	// is a full candidate search whose cost grows superlinearly with the
+	// flow, so solving every due prefix would multiply replay time and
+	// memory.
 	ResolveEvery int
 	// WorkBudget is the per-solve guard step budget; 0 is unmetered.
 	WorkBudget int64
@@ -426,6 +436,15 @@ func (m *Monitor) beginDrain() {
 }
 
 func (m *Monitor) handleFrame(f Frame) {
+	if m.opts.ShedPolicy == ShedBlock && m.opts.ResolveEvery > 0 && !m.opts.Params.Mux {
+		// The flow's next provisional solve is due at the prefix it already
+		// has: wait for the solve in flight rather than let this frame push
+		// the next one past its ResolveEvery boundary.
+		if fs := m.flows[f.Flow]; fs != nil && fs.solving && !fs.finalizing &&
+			fs.packets-fs.solvedAt >= m.opts.ResolveEvery {
+			m.awaitSolve(fs)
+		}
+	}
 	m.cFrames.Inc()
 	m.seq++
 	if d := m.opts.Durable; d != nil && m.seq > d.baseSeq {
@@ -493,6 +512,16 @@ func (m *Monitor) handleFrame(f Frame) {
 	}
 	if m.opts.ResolveEvery > 0 && !fs.solving && fs.packets-fs.solvedAt >= m.opts.ResolveEvery {
 		m.schedule(fs, false)
+	}
+}
+
+// awaitSolve runs only the solve side of the control loop (dispatching
+// queued solves, handling completions) until fs's in-flight solve is done.
+// Completing it schedules fs's due solve, which is not waited for.
+func (m *Monitor) awaitSolve(fs *flowState) {
+	for n := fs.solves; fs.solving && fs.solves == n; {
+		m.dispatch()
+		m.handleDone(<-m.ctrl)
 	}
 }
 

@@ -167,6 +167,35 @@ func TestReplayGolden(t *testing.T) {
 	}
 }
 
+// TestBlockResolveCadence pins the ShedBlock solve cadence: every closed
+// flow is solved at each ResolveEvery-th packet and once at its close, so
+// the solve count depends on the frames alone, not on how fast the workers
+// run against ingest.
+func TestBlockResolveCadence(t *testing.T) {
+	testleak.Check(t)
+	man := testManifest(t, session.SH)
+	runs := map[string]*capture.Trace{
+		"c1": testSession(t, man, session.SH, 53, 45),
+		"c2": testSession(t, man, session.SH, 54, 30),
+	}
+	const every = 50
+	want := int64(0)
+	for _, tr := range runs {
+		want += int64(len(tr.Packets)/every + 1)
+	}
+	frames := Pack(runs)
+	for rep := 0; rep < 2; rep++ {
+		obsT := obs.New(nil, nil)
+		opts := replayOpts(man, false)
+		opts.ResolveEvery = every
+		opts.Obs = obsT
+		replayThrough(t, frames, opts)
+		if got := obsT.Metrics().Counter("stream.solves_total").Value(); got != want {
+			t.Fatalf("replay %d: stream.solves_total = %d, want %d", rep, got, want)
+		}
+	}
+}
+
 // TestOverloadEvictsAndSurvives is the robustness acceptance test: 10x the
 // flow-table cap of concurrently interleaved flows. The monitor must bound
 // its state via LRU eviction, degrade every evicted flow to a structured

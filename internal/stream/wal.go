@@ -254,33 +254,32 @@ func truncateSalvage(path string, validLen int64) error {
 	return nil
 }
 
-// encodeWALRecord renders one durable record: length and CRC header, then
-// seq and payload (the CRC covers both).
-func encodeWALRecord(seq uint64, payload []byte) []byte {
-	rec := make([]byte, walHeaderBytes+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:], uint32(len(payload)))
+// sealWALRecord fills in the header of rec, a record whose payload follows
+// walHeaderBytes reserved bytes: length, then the CRC over seq and payload.
+func sealWALRecord(rec []byte, seq uint64) {
+	binary.LittleEndian.PutUint32(rec[0:], uint32(len(rec)-walHeaderBytes))
 	binary.LittleEndian.PutUint64(rec[8:], seq)
-	copy(rec[walHeaderBytes:], payload)
 	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
-	return rec
 }
 
-// append writes one record. Rotation happens before the write, so a record
-// never spans segments. Returns the bytes written.
-func (w *wal) append(seq uint64, payload []byte) (int, error) {
+// append seals and writes one record: rec is the payload behind
+// walHeaderBytes reserved bytes, whose header is filled in place (so the
+// caller can build records in one reused buffer). Rotation happens before
+// the write, so a record never spans segments. Returns the bytes written.
+func (w *wal) append(seq uint64, rec []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("stream: append to closed wal")
 	}
-	if len(payload) == 0 || len(payload) > walMaxRecordBytes {
-		return 0, fmt.Errorf("stream: wal payload of %d bytes out of range", len(payload))
+	if n := len(rec) - walHeaderBytes; n <= 0 || n > walMaxRecordBytes {
+		return 0, fmt.Errorf("stream: wal payload of %d bytes out of range", n)
 	}
-	need := int64(walHeaderBytes + len(payload))
-	if w.f == nil || (w.size > 0 && w.size+need > w.segBytes) {
+	if w.f == nil || (w.size > 0 && w.size+int64(len(rec)) > w.segBytes) {
 		if err := w.rotate(seq); err != nil {
 			return 0, err
 		}
 	}
-	n, err := w.f.Write(encodeWALRecord(seq, payload))
+	sealWALRecord(rec, seq)
+	n, err := w.f.Write(rec)
 	w.size += int64(n)
 	if err != nil {
 		return n, fmt.Errorf("stream: wal append seq %d: %w", seq, err)

@@ -8,6 +8,14 @@ import (
 	"testing"
 )
 
+// encodeWALRecord renders one durable record, as wal.append writes it.
+func encodeWALRecord(seq uint64, payload []byte) []byte {
+	rec := make([]byte, walHeaderBytes+len(payload))
+	copy(rec[walHeaderBytes:], payload)
+	sealWALRecord(rec, seq)
+	return rec
+}
+
 func walSegsOnDisk(t *testing.T, dir string) []string {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, walSegPrefix+"*"+walSegSuffix))
@@ -30,7 +38,7 @@ func openWALDir(t *testing.T, dir string, segBytes int64) (*wal, []walRecord, bo
 func appendSeqs(t *testing.T, w *wal, from, through uint64) {
 	t.Helper()
 	for seq := from; seq <= through; seq++ {
-		if _, err := w.append(seq, []byte(fmt.Sprintf(`{"seq":%d}`, seq))); err != nil {
+		if _, err := w.append(seq, encodeWALRecord(seq, []byte(fmt.Sprintf(`{"seq":%d}`, seq)))); err != nil {
 			t.Fatalf("append seq %d: %v", seq, err)
 		}
 	}

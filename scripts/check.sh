@@ -225,6 +225,13 @@ echo "== stream ingest fuzz smoke"
 go test -run='^$' -fuzz='^FuzzStreamIngest$' -fuzztime=5s -fuzzminimizetime=10s \
     ./internal/stream > /dev/null
 
+echo "== frame codec fuzz smoke"
+# The hand-written frame codec against encoding/json on arbitrary bytes:
+# decodeFrame must accept, reject and decode exactly as json.Unmarshal, and
+# every frame it decodes must re-encode to json.Marshal's bytes.
+go test -run='^$' -fuzz='^FuzzFrameCodec$' -fuzztime=5s -fuzzminimizetime=10s \
+    ./internal/stream > /dev/null
+
 echo "== bounded inference smoke (tiny work budget)"
 # A one-step work budget must truncate the inference into a *partial*
 # result — exit 0, a structured deadline_exceeded warning on stdout —
