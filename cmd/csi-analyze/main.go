@@ -17,10 +17,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
-	"csi/internal/capture"
 	"csi/internal/core"
 	"csi/internal/faults"
 	"csi/internal/guard"
@@ -34,7 +32,7 @@ import (
 func main() {
 	var (
 		manifest = flag.String("manifest", "", "manifest file (.json, .mpd or .m3u8)")
-		runPath  = flag.String("run", "", "run JSON (from csi-run)")
+		runPath  = flag.String("run", "", "run file from csi-run (.json or .bin) or a .pcap capture")
 		mux      = flag.Bool("mux", false, "transport multiplexing analysis (SQ designs)")
 		display  = flag.Bool("display", false, "use displayed-chunk side information")
 		host     = flag.String("host", "", "media SNI host (default: manifest host)")
@@ -91,7 +89,7 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	run, err := loadRun(*runPath)
+	run, err := pcap.LoadRun(*runPath)
 	if err != nil {
 		die(err)
 	}
@@ -232,22 +230,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-// loadRun opens a run in JSON, binary or pcap format. Pcap captures carry
-// only the packet trace (no instrumentation side band).
-func loadRun(path string) (*capture.Run, error) {
-	if strings.HasSuffix(path, ".pcap") {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		tr, err := pcap.Read(f, pcap.ReadConfig{})
-		if err != nil {
-			return nil, err
-		}
-		return &capture.Run{Trace: tr}, nil
-	}
-	return capture.LoadAny(path)
 }

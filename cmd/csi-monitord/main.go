@@ -10,7 +10,7 @@
 //	csi-monitord -manifest m.json                      # live: frames on stdin
 //	csi-monitord -manifest m.json -replay frames.jsonl # deterministic replay
 //	csi-monitord -manifest m.json -batch  frames.jsonl # offline reference pipeline
-//	csi-monitord -pack -o frames.jsonl a.json b.json   # record runs -> frame stream
+//	csi-monitord -pack -o frames.jsonl a.json b.bin    # record runs -> frame stream
 //
 // Replay and batch produce byte-identical output over the same frames (the
 // repository's replay determinism gate); live mode adds wall-clock-driven
@@ -36,6 +36,7 @@ import (
 	"csi/internal/media"
 	"csi/internal/obs"
 	"csi/internal/obs/live"
+	"csi/internal/pcap"
 	"csi/internal/stream"
 	"csi/internal/stream/crashpoint"
 )
@@ -47,20 +48,15 @@ func main() {
 		host      = flag.String("host", "", "media SNI host (default: manifest host)")
 		replay    = flag.String("replay", "", "replay a recorded frame stream deterministically (blocking ingest, no wall clock)")
 		batch     = flag.String("batch", "", "run the offline batch pipeline over a recorded frame stream (reference for replay identity)")
-		pack      = flag.Bool("pack", false, "pack capture run JSONs (args) into one interleaved frame stream")
+		pack      = flag.Bool("pack", false, "pack capture runs (args: .json, .bin or .pcap) into one interleaved frame stream")
 		out       = flag.String("o", "", "output path (default stdout)")
 		maxFlows  = flag.Int("max-flows", 64, "flow table cap; beyond it the least-recently-active flow is evicted to a partial result")
 		memBudget = flag.Int64("flow-mem-budget", 64<<20, "per-flow buffered-bytes budget; a breaching flow is finalized early with a flow_evicted warning")
-		shed      = flag.String("shed-policy", stream.ShedDrop, "ingest overload policy: drop (shed newest) or block (back-pressure)")
-		ringSize  = flag.Int("ring", 4096, "ingest ring capacity (frames)")
 		resolve   = flag.Int("resolve-every", 0, "re-solve a flow after this many new packets (0 = solve only at finalization)")
 		budget    = flag.Int64("work-budget", 0, "deterministic per-solve guard step budget (0 = unbounded)")
 		deadline  = flag.Float64("solve-deadline", 0, "wall-clock per-solve deadline seconds, live mode only (0 = none)")
-		quarAfter = flag.Int("quarantine-after", 3, "park a flow after this many consecutive panicking solves (0 = never)")
 		idleEvict = flag.Float64("idle-evict", 0, "evict flows idle for this many seconds of stream (virtual) time (0 = never)")
-		workers   = flag.Int("workers", 0, "solver pool size (0 = GOMAXPROCS)")
 		cacheMB   = flag.Int64("half-cache-mb", 0, "share MUX half enumerations across flows through a process cache of this many MiB (0 = disabled; never changes results)")
-		degrade   = flag.Bool("degrade", true, "degrade impaired flows to partial inferences with warnings instead of failing them")
 		serve     = flag.String("serve", "", "serve the live ops plane (/metrics, /statusz incl. the flow table, /events, pprof) on this address")
 		stateDir  = flag.String("state-dir", "", "crash-safe state directory (frame WAL + snapshots); a restart recovers and continues with byte-identical output")
 		walSync   = flag.String("wal-sync", "interval", "WAL fsync policy: always, interval[:N] (every N frames, default 256) or never")
@@ -126,7 +122,7 @@ func main() {
 		die(fmt.Errorf("-replay and -batch are mutually exclusive"))
 	}
 
-	p := core.Params{MediaHost: *host, Mux: *mux, Degrade: *degrade}
+	p := core.Params{MediaHost: *host, Mux: *mux, Degrade: true}
 	if p.MediaHost == "" {
 		p.MediaHost = man.Host
 	}
@@ -138,13 +134,10 @@ func main() {
 		Params:          p,
 		MaxFlows:        *maxFlows,
 		FlowMemBudget:   *memBudget,
-		RingSize:        *ringSize,
-		ShedPolicy:      *shed,
 		ResolveEvery:    *resolve,
 		WorkBudget:      *budget,
-		QuarantineAfter: *quarAfter,
+		QuarantineAfter: 3,
 		IdleEvictSec:    *idleEvict,
-		Workers:         *workers,
 	}
 
 	if *batch != "" {
@@ -167,7 +160,8 @@ func main() {
 		defer f.Close()
 		input = f
 		// Replay is the deterministic mode: every frame is processed
-		// (back-pressure, no shedding) and no wall time is read.
+		// (back-pressure, no shedding) and no wall time is read. Live mode
+		// keeps the default ShedDrop.
 		opts.ShedPolicy = stream.ShedBlock
 	} else {
 		opts.Clock = guard.WallClock()
@@ -190,7 +184,7 @@ func main() {
 			die(err)
 		}
 		defer func() { _ = srv.Shutdown(2 * time.Second) }()
-		opts.Live = srv
+		opts.Params.Stages = srv.StageTimer()
 		fmt.Fprintln(os.Stderr, "csi-monitord: ops plane on http://"+srv.Addr())
 	}
 
@@ -355,15 +349,15 @@ func loadFrames(path string) ([]stream.Frame, error) {
 	return stream.ReadFrames(f)
 }
 
-// packRuns merges capture run JSONs into one interleaved frame recording;
-// flows are named by file base name (extension stripped).
+// packRuns merges capture runs (JSON, binary or pcap) into one interleaved
+// frame recording; flows are named by file base name (extension stripped).
 func packRuns(paths []string, w io.Writer) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("-pack needs capture run files as arguments")
 	}
 	runs := make(map[string]*capture.Trace, len(paths))
 	for _, path := range paths {
-		run, err := capture.LoadJSON(path)
+		run, err := pcap.LoadRun(path)
 		if err != nil {
 			return err
 		}

@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
-	"csi/internal/capture"
 	"csi/internal/core"
 	"csi/internal/obs"
 	"csi/internal/packet"
@@ -26,7 +24,7 @@ import (
 
 func main() {
 	var (
-		runPath  = flag.String("run", "", "run file (.json or .bin)")
+		runPath  = flag.String("run", "", "run file (.json, .bin or .pcap)")
 		host     = flag.String("host", "", "media host for request/group analysis")
 		requests = flag.Bool("requests", false, "print the detected request timeline")
 		mux      = flag.Bool("mux", false, "print SP1/SP2 traffic groups (QUIC multiplexing)")
@@ -55,7 +53,7 @@ func main() {
 	if *runPath == "" {
 		die(fmt.Errorf("-run is required"))
 	}
-	run, err := loadRun(*runPath)
+	run, err := pcap.LoadRun(*runPath)
 	if err != nil {
 		die(err)
 	}
@@ -132,22 +130,4 @@ func main() {
 	for i, r := range est.Requests {
 		fmt.Printf("%-4d %10.2f %-5d %12d %10.2f\n", i, r.Time, r.Conn, r.Est, r.LastData)
 	}
-}
-
-// loadRun opens a run in JSON, binary or pcap format. Pcap captures carry
-// only the packet trace (no instrumentation side band).
-func loadRun(path string) (*capture.Run, error) {
-	if strings.HasSuffix(path, ".pcap") {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		tr, err := pcap.Read(f, pcap.ReadConfig{})
-		if err != nil {
-			return nil, err
-		}
-		return &capture.Run{Trace: tr}, nil
-	}
-	return capture.LoadAny(path)
 }

@@ -10,7 +10,10 @@ import (
 // a differently ordered slice or report on every run — the direct cause of
 // non-reproducible experiment tables. The fix is to collect the keys,
 // sort them, and range over the sorted slice; the key-collection idiom
-// itself (a body that only appends the bare key) is recognized and exempt.
+// itself (a body that only appends the bare key) is recognized and exempt,
+// and so is an append to a slice that the same function sorts after the
+// loop. This is the taint rule's map-order source check (mapOrderSource),
+// applied to every function rather than only to those reaching a sink.
 var Maporder = &Analyzer{
 	Name: "maporder",
 	Doc:  "flag range over maps whose body appends to a slice or writes output",
@@ -18,21 +21,19 @@ var Maporder = &Analyzer{
 }
 
 func runMaporder(pass *Pass) {
+	var body *ast.BlockStmt // outermost enclosing function body
 	pass.inspect(func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		if t := pass.Info.TypeOf(rng.X); t == nil {
-			return true
-		} else if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		if isKeyCollection(rng) {
-			return true
-		}
-		if site := orderSensitiveStmt(pass.Info, rng); site != nil {
-			pass.Reportf(rng.For, "iteration over a map %s; map order is randomized — sort the keys first", site.what)
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			body = n.Body
+		case *ast.FuncLit:
+			if body == nil || n.Pos() >= body.End() {
+				body = n.Body // package-level function literal
+			}
+		case *ast.RangeStmt:
+			if site := mapOrderSource(pass.Info, body, n); site != nil {
+				pass.Reportf(n.For, "iteration over a map %s; map order is randomized — sort the keys first", site.what)
+			}
 		}
 		return true
 	})

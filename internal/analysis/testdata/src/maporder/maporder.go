@@ -1,6 +1,7 @@
 // Package maporder exercises the maporder rule: map-range bodies that
 // append to an outer slice or write output fire; the key-collection
-// idiom, loop-local scratch, and commutative accumulation stay silent.
+// idiom, an append to a slice sorted after the loop, loop-local scratch,
+// and commutative accumulation stay silent.
 package maporder
 
 import (
@@ -47,4 +48,22 @@ func Clean(m map[string]int, w io.Writer) (int, error) {
 		total += scratch[0]
 	}
 	return total, nil
+}
+
+func SortedAfterCollect(m map[string]int) []string {
+	var rows []string
+	for k, v := range m { // appended slice is sorted below: silent
+		rows = append(rows, fmt.Sprintf("%s=%d", k, v))
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+func SortsTheWrongSlice(m map[string]int) ([]string, []string) {
+	var rows, other []string
+	for k, v := range m {
+		rows = append(rows, fmt.Sprintf("%s=%d", k, v))
+	}
+	sort.Strings(other) // a different slice: rows keeps map order
+	return rows, other
 }

@@ -377,16 +377,6 @@ func (r *Run) SaveBinary(path string) error {
 	return f.Close()
 }
 
-// LoadBinary reads a run from the named binary file.
-func LoadBinary(path string) (*Run, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("capture: loading binary run: %w", err)
-	}
-	defer f.Close()
-	return ReadBinary(f)
-}
-
 // LoadAny opens a run file in either format, sniffing the magic bytes.
 func LoadAny(path string) (*Run, error) {
 	f, err := os.Open(path)

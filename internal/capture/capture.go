@@ -85,7 +85,6 @@ func (t *Trace) ConnIDs(hostSuffix string) []int {
 	match := func(host string) bool { return hostMatches(host, hostSuffix) }
 	seen := map[int]bool{}
 	var out []int
-	//csi-vet:ignore maporder -- out is sorted below before returning
 	for id, host := range t.SNI {
 		if match(host) {
 			out = append(out, id)
@@ -93,7 +92,6 @@ func (t *Trace) ConnIDs(hostSuffix string) []int {
 		}
 	}
 	// DNS/IP fallback for SNI-less connections.
-	//csi-vet:ignore maporder -- out is sorted below before returning
 	for id, ip := range t.ServerIP {
 		if seen[id] {
 			continue
@@ -142,7 +140,6 @@ func (t *Trace) FallbackConnIDs(hostSuffix string) []int {
 		floor = th
 	}
 	var out []int
-	//csi-vet:ignore maporder -- out is sorted below before returning
 	for id, b := range down {
 		if b < floor {
 			continue
@@ -295,14 +292,4 @@ func ReadJSON(rd io.Reader) (*Run, error) {
 		r.Trace.ServerIP = make(map[int]string)
 	}
 	return &r, nil
-}
-
-// LoadJSON reads a run from the named file.
-func LoadJSON(path string) (*Run, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("capture: loading run: %w", err)
-	}
-	defer f.Close()
-	return ReadJSON(f)
 }

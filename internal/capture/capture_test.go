@@ -126,7 +126,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := r.SaveJSON(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadJSON(path)
+	got, err := LoadAny(path)
 	if err != nil {
 		t.Fatal(err)
 	}

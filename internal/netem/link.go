@@ -118,7 +118,3 @@ func (l *Link) Send(p *packet.Packet) {
 		})
 	})
 }
-
-// QueuedBytes returns the bytes currently occupying the queue (including the
-// packet being serialized).
-func (l *Link) QueuedBytes() int64 { return l.queued }

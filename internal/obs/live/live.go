@@ -259,7 +259,6 @@ func (s *Server) sectionFuncs() ([]string, map[string]func() any) {
 	defer s.mu.Unlock()
 	names := make([]string, 0, len(s.sections))
 	fns := make(map[string]func() any, len(s.sections))
-	//csi-vet:ignore maporder -- names are sorted below before use
 	for name, fn := range s.sections {
 		names = append(names, name)
 		fns[name] = fn

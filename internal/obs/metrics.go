@@ -67,15 +67,12 @@ func (r *Registry) reindex() {
 		gauges:   make([]namedGauge, 0, len(r.gauges)),
 		hists:    make([]namedHist, 0, len(r.hists)),
 	}
-	//csi-vet:ignore maporder -- each slice is sorted below before publication
 	for name, c := range r.counters {
 		ix.counters = append(ix.counters, namedCounter{name, c})
 	}
-	//csi-vet:ignore maporder -- each slice is sorted below before publication
 	for name, g := range r.gauges {
 		ix.gauges = append(ix.gauges, namedGauge{name, g})
 	}
-	//csi-vet:ignore maporder -- each slice is sorted below before publication
 	for name, h := range r.hists {
 		ix.hists = append(ix.hists, namedHist{name, h})
 	}

@@ -22,7 +22,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sort"
+	"strings"
 
 	"csi/internal/capture"
 	"csi/internal/packet"
@@ -244,6 +246,25 @@ type rawPacket struct {
 	payload          []byte // transport payload bytes (TCP segment / UDP datagram body)
 	srcIP, dstIP     string
 	srcPort, dstPort uint16
+}
+
+// LoadRun opens a run in JSON, binary or pcap format (.pcap by extension,
+// the other two by capture.LoadAny's sniffing). Pcap captures carry only
+// the packet trace (no instrumentation side band).
+func LoadRun(path string) (*capture.Run, error) {
+	if !strings.HasSuffix(path, ".pcap") {
+		return capture.LoadAny(path)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tr, err := Read(f, ReadConfig{})
+	if err != nil {
+		return nil, err
+	}
+	return &capture.Run{Trace: tr}, nil
 }
 
 // Read parses a pcap file into a capture.Trace, reconstructing the

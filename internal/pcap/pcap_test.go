@@ -3,6 +3,9 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"csi/internal/core"
@@ -278,5 +281,66 @@ func TestWrittenPcapCarriesHostnames(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("media host missing from DNS map: %v", got.DNS)
+	}
+}
+
+// LoadRun opens every run format the commands accept: the same simulated
+// run saved as JSON and as binary loads to equal traces, and its pcap
+// rendering loads through the pcap reader.
+func TestLoadRunFormats(t *testing.T) {
+	man := mediatest.Encode(t, media.EncodeConfig{
+		Name: "p3", Seed: 5, DurationSec: 120, ChunkDur: 5, TargetPASR: 1.3, AudioTracks: 1,
+	})
+	res, err := session.Run(session.Config{
+		Design: session.SH, Manifest: man,
+		Bandwidth: netem.Constant(4_000_000),
+		Duration:  30, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jp, bp, pp := filepath.Join(dir, "run.json"), filepath.Join(dir, "run.bin"), filepath.Join(dir, "run.pcap")
+	if err := res.Run.SaveJSON(jp); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Run.SaveBinary(bp); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, res.Run.Trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(pp, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fromJSON, err := LoadRun(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBin, err := LoadRun(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fromJSON.Trace.Packets) != len(res.Run.Trace.Packets) {
+		t.Fatalf("json run: %d packets, want %d", len(fromJSON.Trace.Packets), len(res.Run.Trace.Packets))
+	}
+	j, b := fromJSON.Trace, fromBin.Trace
+	if !reflect.DeepEqual(j.Packets, b.Packets) || !reflect.DeepEqual(j.SNI, b.SNI) ||
+		!reflect.DeepEqual(j.DNS, b.DNS) || !reflect.DeepEqual(j.ServerIP, b.ServerIP) {
+		t.Fatalf("json and binary saves of one run load to different traces")
+	}
+	if !reflect.DeepEqual(fromJSON.Truth, fromBin.Truth) {
+		t.Fatalf("json and binary saves of one run load different ground truth")
+	}
+
+	fromPcap, err := LoadRun(pp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fromPcap.Trace.Packets) == 0 || fromPcap.Truth != nil {
+		t.Fatalf("pcap run: %d packets, truth %v; want packets and no side band",
+			len(fromPcap.Trace.Packets), fromPcap.Truth)
 	}
 }

@@ -212,14 +212,6 @@ func (ep *Endpoint) traceCwnd() {
 	ep.tr.Sample("quic", "cwnd_bytes", ep.cwnd)
 }
 
-// DeliverToClient / DeliverToServer return link delivery callbacks.
-func (c *Conn) DeliverToClient() func(p *packet.Packet) {
-	return func(p *packet.Packet) { p.Arrive(c.eng.Now()) }
-}
-func (c *Conn) DeliverToServer() func(p *packet.Packet) {
-	return func(p *packet.Packet) { p.Arrive(c.eng.Now()) }
-}
-
 // Start runs the handshake: padded client Initial (carrying sni), server
 // flight, client finish. Each step retries on loss. onReady fires at the
 // client once the handshake completes.
@@ -743,6 +735,3 @@ func (ep *Endpoint) sendPing() {
 	p.Arrive = func(now float64) { peer.onDataPacket(pn, nil) }
 	ep.out.Send(p)
 }
-
-// SRTT exposes the smoothed RTT (diagnostics).
-func (ep *Endpoint) SRTT() float64 { return ep.srtt }

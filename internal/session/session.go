@@ -66,9 +66,6 @@ func ParseDesign(s string) (Design, error) {
 // Separate reports whether the design uses separate audio tracks.
 func (d Design) Separate() bool { return d == SH || d == SQ }
 
-// QUIC reports whether the design runs over QUIC.
-func (d Design) QUIC() bool { return d == CQ || d == SQ }
-
 // Config describes one test run.
 type Config struct {
 	Design   Design

@@ -31,9 +31,6 @@ func (ev *Event) Cancel() {
 // Cancelled reports whether the event was cancelled or already fired.
 func (ev *Event) Cancelled() bool { return ev.fn == nil }
 
-// Time returns the virtual time the event is scheduled for.
-func (ev *Event) Time() float64 { return ev.at }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }

@@ -138,12 +138,10 @@ func FuzzStreamIngest(f *testing.F) {
 			Params:        core.Params{MediaHost: man.Host, Degrade: true},
 			MaxFlows:      2,
 			FlowMemBudget: 4 << 10,
-			RingSize:      8,
 			ShedPolicy:    ShedBlock,
 			ResolveEvery:  4,
 			WorkBudget:    5_000,
 			IdleEvictSec:  1,
-			Workers:       2,
 		})
 		for _, fm := range frames {
 			mon.Ingest(fm)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"csi/internal/capture"
 	"csi/internal/core"
@@ -12,7 +13,6 @@ import (
 	"csi/internal/guard/runner"
 	"csi/internal/media"
 	"csi/internal/obs"
-	"csi/internal/obs/live"
 	"csi/internal/packet"
 )
 
@@ -38,6 +38,9 @@ const (
 	ReasonQuarantined = "quarantined"
 )
 
+// ringSize bounds the ingest ring (frames).
+const ringSize = 4096
+
 // viewFootprint approximates the buffered bytes of one packet.View (struct
 // size rounded up; string payloads are added separately). Used only for the
 // per-flow memory budget, so a rough constant is fine — it just has to be
@@ -53,9 +56,9 @@ type Options struct {
 	// Manifest is the chunk-size ladder every flow is matched against.
 	Manifest *media.Manifest
 	// Params is the base inference configuration applied to every flow
-	// (MediaHost, Mux, Degrade, K, ...). Memo, Guard, Stages and Obs are
+	// (MediaHost, Mux, Degrade, K, Stages, ...). Memo, Guard and Obs are
 	// overridden per solve; HalfCache should be set here when sharing is
-	// wanted.
+	// wanted, and Stages when the daemon serves per-stage latencies.
 	Params core.Params
 	// MaxFlows caps the live flow table; a new flow past the cap evicts
 	// the least-recently-active one to a partial result. Default 64.
@@ -63,8 +66,6 @@ type Options struct {
 	// FlowMemBudget caps the approximate buffered bytes of one flow;
 	// breaching it finalizes the flow to a partial result. Default 64 MiB.
 	FlowMemBudget int64
-	// RingSize bounds the ingest ring (frames). Default 4096.
-	RingSize int
 	// ShedPolicy is ShedDrop (default) or ShedBlock.
 	ShedPolicy string
 	// ResolveEvery re-solves a flow after this many new packets, keeping a
@@ -96,15 +97,9 @@ type Options struct {
 	// (the max packet timestamp seen), so replay stays deterministic.
 	// 0 disables.
 	IdleEvictSec float64
-	// Workers sizes the solve pool; <= 0 means GOMAXPROCS.
-	Workers int
 	// Obs receives the monitor's counters and gauges (stream.*); nil
 	// disables. In the daemon this registry is served by the live plane.
 	Obs *obs.Tracer
-	// Live, when non-nil, provides the per-stage Infer latency histograms
-	// (StageTimer). The flow table status section is registered by the
-	// daemon via Status.
-	Live *live.Server
 	// Clock is the sanctioned wall-time source for live mode (arming
 	// solve deadlines). Nil in replay: the monitor then reads no wall
 	// time at all.
@@ -130,14 +125,8 @@ func (o Options) withDefaults() Options {
 	if o.FlowMemBudget <= 0 {
 		o.FlowMemBudget = 64 << 20
 	}
-	if o.RingSize <= 0 {
-		o.RingSize = 4096
-	}
 	if o.ShedPolicy == "" {
 		o.ShedPolicy = ShedDrop
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -194,11 +183,12 @@ type Monitor struct {
 	doneCh  chan struct{}
 	wg      sync.WaitGroup
 
+	stopped atomic.Bool // set once by Drain; Ingest refuses afterwards
+
 	// mu guards the maps and slices also read from other goroutines
-	// (Ingest's stop check, workers' flow lookup, Status, Drain's result
-	// pickup). The control goroutine is the only writer.
+	// (workers' flow lookup, Status, Drain's result pickup). The control
+	// goroutine is the only writer.
 	mu      sync.Mutex
-	stopped bool
 	flows   map[string]*flowState
 	closed  map[string]bool // committed flows; late frames are dropped
 	results []Result
@@ -231,18 +221,19 @@ type Monitor struct {
 // set outside tests.
 var testHookSolve func(flow string)
 
-// New starts a monitor: the control goroutine plus opts.Workers solvers.
+// New starts a monitor: the control goroutine plus GOMAXPROCS solvers.
 // Callers must end its life with Drain.
 func New(opts Options) *Monitor {
 	opts = opts.withDefaults()
 	reg := opts.Obs.Metrics()
+	workers := runtime.GOMAXPROCS(0)
 	m := &Monitor{
 		opts:        opts,
 		man:         opts.Manifest,
-		ring:        make(chan Frame, opts.RingSize),
+		ring:        make(chan Frame, ringSize),
 		drainCh:     make(chan struct{}),
-		tasks:       make(chan string, opts.Workers*2),
-		ctrl:        make(chan solveDone, opts.Workers*2),
+		tasks:       make(chan string, workers*2),
+		ctrl:        make(chan solveDone, workers*2),
 		doneCh:      make(chan struct{}),
 		flows:       make(map[string]*flowState),
 		closed:      make(map[string]bool),
@@ -265,7 +256,7 @@ func New(opts Options) *Monitor {
 		// goroutine can observe partial state.
 		m.restoreSnapshot(opts.restore)
 	}
-	for i := 0; i < opts.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
 	}
@@ -278,10 +269,7 @@ func New(opts Options) *Monitor {
 // ShedBlock it blocks until the control loop catches up. Returns false
 // without ingesting once Drain has begun.
 func (m *Monitor) Ingest(f Frame) bool {
-	m.mu.Lock()
-	stopped := m.stopped
-	m.mu.Unlock()
-	if stopped {
+	if m.stopped.Load() {
 		return false
 	}
 	if m.opts.ShedPolicy == ShedBlock {
@@ -308,12 +296,9 @@ func (m *Monitor) Ingest(f Frame) bool {
 // for the pool to wind down and returns all results in commit order. Safe
 // to call once; Ingest returns false afterwards.
 func (m *Monitor) Drain() []Result {
-	m.mu.Lock()
-	if !m.stopped {
-		m.stopped = true
+	if m.stopped.CompareAndSwap(false, true) {
 		close(m.drainCh)
 	}
-	m.mu.Unlock()
 	<-m.doneCh
 	m.wg.Wait()
 	m.mu.Lock()
@@ -354,7 +339,6 @@ func (m *Monitor) Status() any {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rows := make([]FlowStatus, 0, len(m.flows))
-	//csi-vet:ignore maporder -- rows are sorted below before returning
 	for _, fs := range m.flows {
 		row := FlowStatus{
 			Flow: fs.name, Packets: fs.packets, Bytes: fs.bytes,
@@ -423,7 +407,6 @@ func (m *Monitor) beginDrain() {
 	defer m.mu.Unlock()
 	m.draining = true
 	names := make([]string, 0, len(m.flows))
-	//csi-vet:ignore maporder -- names are sorted below before use
 	for name, fs := range m.flows {
 		if !fs.finalizing {
 			names = append(names, name)
@@ -547,7 +530,6 @@ func (m *Monitor) evictLRU() {
 // deterministic order.
 func (m *Monitor) evictIdle() {
 	var idle []string
-	//csi-vet:ignore maporder -- idle is sorted below before use
 	for name, fs := range m.flows {
 		if !fs.finalizing && m.vnow-fs.lastTime > m.opts.IdleEvictSec {
 			idle = append(idle, name)
@@ -733,9 +715,6 @@ func (m *Monitor) solve(name string) solveDone {
 	p.Guard = guard.New(m.opts.WorkBudget)
 	if m.opts.SolveDeadlineSec > 0 && m.opts.Clock != nil {
 		p.Guard.WithDeadline(m.opts.Clock, m.opts.SolveDeadlineSec)
-	}
-	if m.opts.Live != nil {
-		p.Stages = m.opts.Live.StageTimer()
 	}
 	// Per-flow solves run untraced: an estimate-memo hit elides the scan's
 	// obs events, so tracing would differ between solve cadences while the

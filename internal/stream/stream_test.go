@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"csi/internal/capture"
 	"csi/internal/core"
@@ -289,7 +291,7 @@ func TestDrainWithLiveServerNoLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := replayOpts(man, false)
-	opts.Live = srv
+	opts.Params.Stages = srv.StageTimer()
 	mon := New(opts)
 	srv.SetStatus("monitor", mon.Status)
 
@@ -451,6 +453,133 @@ func TestIdleEvictVirtualTime(t *testing.T) {
 	}
 	if got := byFlow["active"].Reason; got != ReasonDrain {
 		t.Fatalf("active flow finalized as %q, want %q", got, ReasonDrain)
+	}
+}
+
+// TestShedDropUnderOverload pins the live overload policy: with the
+// control loop stalled inside a blocking OnResult, Ingest fills the ring
+// and then sheds the next frame (counted once in stream.shed_total) instead
+// of blocking the capture path. Under ShedBlock the same frame waits for
+// the stall to clear and is never shed. Either way Drain returns every
+// flow once the stall is released.
+func TestShedDropUnderOverload(t *testing.T) {
+	testleak.Check(t)
+	man := testManifest(t, session.SH)
+	tr := testSession(t, man, session.SH, 66, 60)
+	for _, policy := range []string{ShedDrop, ShedBlock} {
+		t.Run(policy, func(t *testing.T) {
+			stalled, release := make(chan struct{}), make(chan struct{})
+			unstall := sync.OnceFunc(func() { close(release) })
+			defer unstall()
+			first := true
+			obsT := obs.New(nil, nil)
+			opts := replayOpts(man, false)
+			opts.ShedPolicy = policy
+			opts.Obs = obsT
+			opts.OnResult = func(Result) { // control goroutine only
+				if first {
+					first = false
+					close(stalled)
+					<-release
+				}
+			}
+			mon := New(opts)
+			// Committing the closed flow parks the control loop in OnResult
+			// with the ring empty; nothing consumes the ring until release.
+			mon.Ingest(Frame{Flow: "closed", Close: true})
+			<-stalled
+			for i := 0; i < ringSize; i++ {
+				if !mon.Ingest(Frame{Flow: "busy", Packet: tr.Packets[i%len(tr.Packets)]}) {
+					t.Fatalf("frame %d refused before the ring was full", i)
+				}
+			}
+			accepted := make(chan bool, 1)
+			go func() { accepted <- mon.Ingest(Frame{Flow: "busy", Packet: tr.Packets[0]}) }()
+			select {
+			case ok := <-accepted:
+				if policy == ShedBlock {
+					t.Fatalf("Ingest returned %v on a full ring under ShedBlock, want it to wait", ok)
+				}
+				if ok {
+					t.Fatalf("Ingest accepted a frame on a full ring under ShedDrop")
+				}
+			case <-time.After(200 * time.Millisecond):
+				if policy == ShedDrop {
+					t.Fatalf("Ingest blocked on a full ring under ShedDrop")
+				}
+			}
+			unstall()
+			wantBusy, wantShed := ringSize, int64(1)
+			if policy == ShedBlock {
+				if !<-accepted {
+					t.Fatalf("Ingest refused the waiting frame after the stall cleared")
+				}
+				wantBusy, wantShed = ringSize+1, 0
+			}
+			results := mon.Drain()
+			if got := obsT.Metrics().Counter("stream.shed_total").Value(); got != wantShed {
+				t.Fatalf("stream.shed_total = %d, want %d", got, wantShed)
+			}
+			byFlow := map[string]Result{}
+			for _, r := range results {
+				byFlow[r.Flow] = r
+			}
+			if len(results) != 2 || byFlow["closed"].Reason != ReasonClose || byFlow["busy"].Reason != ReasonDrain {
+				t.Fatalf("drained %d results %+v, want the closed and the busy flow", len(results), byFlow)
+			}
+			if got := byFlow["busy"].Packets; got != wantBusy {
+				t.Fatalf("busy flow kept %d packets, want %d", got, wantBusy)
+			}
+		})
+	}
+}
+
+// TestSolveDeadline pins Options.SolveDeadlineSec: armed through an
+// injected Clock that advances one second per read, a 0.5 s per-solve
+// deadline truncates the solve into a partial result carrying
+// deadline_exceeded. With a nil Clock (replay) the deadline never arms,
+// even at a limit any real clock would pass: the output equals a run
+// without a deadline.
+func TestSolveDeadline(t *testing.T) {
+	testleak.Check(t)
+	man := testManifest(t, session.SH)
+	tr := testSession(t, man, session.SH, 67, 60)
+	frames := Pack(map[string]*capture.Trace{"flow": tr})
+	hasDeadline := func(r Result) bool {
+		for _, w := range r.Warnings {
+			if w.Code == "deadline_exceeded" {
+				return true
+			}
+		}
+		return false
+	}
+
+	var mu sync.Mutex
+	now := 0.0
+	opts := replayOpts(man, false)
+	opts.SolveDeadlineSec = 0.5
+	opts.Clock = func() float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		now++
+		return now
+	}
+	results := replayThrough(t, frames, opts)
+	if len(results) != 1 || !hasDeadline(results[0]) {
+		t.Fatalf("with an advancing clock the solve did not stop at its deadline: %+v", results)
+	}
+
+	want := marshalResults(t, replayThrough(t, frames, replayOpts(man, false)))
+	for _, limit := range []float64{0.5, 1e-9} {
+		opts := replayOpts(man, false)
+		opts.SolveDeadlineSec = limit
+		results := replayThrough(t, frames, opts)
+		if len(results) != 1 || hasDeadline(results[0]) {
+			t.Fatalf("limit %g without a Clock armed a deadline: %+v", limit, results)
+		}
+		if got := marshalResults(t, results); !bytes.Equal(got, want) {
+			t.Fatalf("limit %g without a Clock changed the output:\n%s\nwant:\n%s", limit, got, want)
+		}
 	}
 }
 

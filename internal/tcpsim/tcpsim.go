@@ -185,18 +185,6 @@ func (ep *Endpoint) traceCwnd() {
 	ep.tr.Sample("tcp", "cwnd_bytes", ep.cwnd)
 }
 
-// DeliverToClient returns the function the downlink should invoke on packet
-// arrival.
-func (c *Conn) DeliverToClient() func(p *packet.Packet) {
-	return func(p *packet.Packet) { p.Arrive(c.eng.Now()) }
-}
-
-// DeliverToServer returns the function the uplink should invoke on packet
-// arrival.
-func (c *Conn) DeliverToServer() func(p *packet.Packet) {
-	return func(p *packet.Packet) { p.Arrive(c.eng.Now()) }
-}
-
 // Start performs the 3-way handshake and calls onOpen (at the client) when
 // the connection is established.
 func (c *Conn) Start(onOpen func(now float64)) {
@@ -247,12 +235,6 @@ func (ep *Endpoint) Write(n int64, onDelivered func(now float64)) {
 	}
 	ep.trySend()
 }
-
-// BytesQueued returns bytes written but not yet sent for the first time.
-func (ep *Endpoint) BytesQueued() int64 { return ep.sndTotal - ep.sndNxt }
-
-// BytesUnacked returns bytes past sndUna.
-func (ep *Endpoint) BytesUnacked() int64 { return ep.sndNxt - ep.sndUna }
 
 // pipe estimates bytes currently in flight: everything sent and not yet
 // cumulatively acked, minus SACKed bytes, minus holes queued for
@@ -566,9 +548,6 @@ func (ep *Endpoint) computeRTO() float64 {
 	}
 	return rto
 }
-
-// SRTT exposes the smoothed RTT estimate (diagnostics).
-func (ep *Endpoint) SRTT() float64 { return ep.srtt }
 
 // RcvNxt exposes the contiguous receive offset (diagnostics, tests).
 func (ep *Endpoint) RcvNxt() int64 { return ep.rcvNxt }

@@ -112,12 +112,6 @@ func New(man *media.Manifest, k float64) (*Analysis, error) {
 	return a, nil
 }
 
-// NumChunks returns the number of positions.
-func (a *Analysis) NumChunks() int { return a.n }
-
-// NumTracks returns the number of video tracks.
-func (a *Analysis) NumTracks() int { return len(a.trk) }
-
 // IsUnique reports whether the sequence starting at position start with the
 // given per-position track choices (indexes into the video-track list) is
 // unique among all contiguous sequences of the same length.

@@ -164,6 +164,16 @@ go run ./cmd/csi-monitord -manifest "$obstmp/man.json" \
     -batch "$obstmp/frames.jsonl" -o "$obstmp/batch.jsonl"
 cmp "$obstmp/replay.jsonl" "$obstmp/batch.jsonl"
 
+echo "== streaming monitor live-mode smoke (frames on stdin)"
+# Live mode (no -replay) sheds instead of blocking and streams each result
+# as it commits, so its output is not byte-compared; it must exit 0 with
+# exactly one result line per flow, the same flows the batch run reports.
+go run ./cmd/csi-monitord -manifest "$obstmp/man.json" -resolve-every 500 \
+    -o "$obstmp/live.jsonl" < "$obstmp/frames.jsonl"
+flows() { sed -n 's/^{"flow":"\([^"]*\)".*/\1/p' "$1" | sort; }
+[ "$(wc -l < "$obstmp/live.jsonl")" -eq "$(wc -l < "$obstmp/batch.jsonl")" ]
+[ "$(flows "$obstmp/live.jsonl")" = "$(flows "$obstmp/batch.jsonl")" ]
+
 echo "== streaming monitor eviction smoke (tiny flow table)"
 # With a one-slot flow table the second flow's arrival evicts the first to
 # a partial result carrying the structured flow_evicted warning — the
