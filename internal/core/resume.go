@@ -45,12 +45,12 @@ type EstimateMemo struct {
 
 // connMemo is one connection's cached scan.
 type connMemo struct {
-	pkts  int       // packet count the scan saw (the memo key's value part)
-	mux   bool      // entry caches the SQ grouping, not request extraction
-	reqs  []Request // raw per-conn requests (no-MUX path), pre-discount
-	warns []Warning // warnings the scan emitted, in emission order
-	groups []Group  // raw traffic groups (SQ path), pre-discount
-	groupErr string // non-empty: the grouping scan failed with this error
+	pkts     int       // packet count the scan saw (the memo key's value part)
+	mux      bool      // entry caches the SQ grouping, not request extraction
+	reqs     []Request // raw per-conn requests (no-MUX path), pre-discount
+	warns    []Warning // warnings the scan emitted, in emission order
+	groups   []Group   // raw traffic groups (SQ path), pre-discount
+	groupErr string    // non-empty: the grouping scan failed with this error
 }
 
 // NewEstimateMemo returns an empty memo.

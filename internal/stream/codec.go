@@ -10,8 +10,8 @@ import (
 
 // The frame codec (DESIGN.md §12): a hand-written encoder and decoder for
 // Frame and packet.View, the records on every hot path of the monitor —
-// the JSONL wire, WAL payloads and snapshot bodies. The format stays JSON;
-// the codec only removes reflection from it.
+// the JSONL wire and WAL payloads. The format stays JSON; the codec only
+// removes reflection from it.
 //
 // Contract: appendFrame and appendView write exactly the bytes json.Marshal
 // writes, and decodeFrame leaves exactly the value (or error) json.Unmarshal

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"csi/internal/core"
 	"csi/internal/packet"
 )
 
@@ -225,38 +224,6 @@ func TestFrameCodecRandom(t *testing.T) {
 		}
 		checkDecode(t, mut, prior)
 		prior = f
-	}
-}
-
-// TestSnapshotCodecMatchesJSON pins the snapshot body to json.Marshal's
-// bytes, across the omitempty and nil-slice shapes.
-func TestSnapshotCodecMatchesJSON(t *testing.T) {
-	pkts := []packet.View{
-		{Time: 0.25, Dir: packet.Up, ConnID: 1, Size: 600, SNI: "media.example.com", ServerIP: "10.0.0.1"},
-		{Time: 1e-9, Dir: packet.Down, ConnID: 1, Size: 1460, ServerIP: "<ip>", TCPSeq: 1, TCPPayload: 1400, TLSAppBytes: 1380},
-	}
-	res := []Result{{Flow: "done", Reason: "close", Packets: 12, Proto: "tcp",
-		Requests: []core.Request{{Time: 1.5, Est: 1000}}, Warnings: []core.Warning{{Code: "x", Detail: "<y>"}}}}
-	cases := map[string]*Snapshot{
-		"empty":           {Version: snapshotVersion},
-		"empty slices":    {Version: snapshotVersion, Seq: 3, Closed: []string{}, Flows: []FlowSnap{}, Results: []Result{}},
-		"nil packets":     {Version: snapshotVersion, Seq: 4, VNow: 2.5, Flows: []FlowSnap{{Name: "a", LastSeq: 4}}},
-		"empty packets":   {Version: snapshotVersion, Seq: 4, Flows: []FlowSnap{{Name: "a", Packets: []packet.View{}}}},
-		"full":            {Version: snapshotVersion, Seq: 9, FinalSeq: 1, VNow: 1e21, Closed: []string{"done", "é"}, Flows: []FlowSnap{{Name: "a", LastSeq: 8, Packets: pkts}, {Name: "b&c", Packets: pkts[:1]}}, Results: res},
-		"NaN vnow":        {Version: snapshotVersion, VNow: math.NaN()},
-		"Inf packet time": {Version: snapshotVersion, Flows: []FlowSnap{{Name: "a", Packets: []packet.View{{Time: math.Inf(-1)}}}}},
-	}
-	for name, s := range cases {
-		t.Run(name, func(t *testing.T) {
-			want, werr := json.Marshal(s)
-			got, gerr := appendSnapshot([]byte("x"), s)
-			if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
-				t.Fatalf("error %v, json.Marshal %v", gerr, werr)
-			}
-			if werr == nil && string(got) != "x"+string(want) {
-				t.Fatalf("\n got %s\nwant x%s", got, want)
-			}
-		})
 	}
 }
 

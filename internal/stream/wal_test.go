@@ -22,7 +22,6 @@ func walSegsOnDisk(t *testing.T, dir string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortSegPaths(paths)
 	return paths
 }
 

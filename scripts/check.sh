@@ -4,12 +4,13 @@
 # Runs, in order:
 #   1. go build ./...            everything compiles
 #   2. go vet ./...              stock vet
-#   3. csi-vet -strict-ignores    repo-specific determinism/correctness rules
+#   3. gofmt -l .                every Go file is gofmt-clean (any output fails)
+#   4. csi-vet -strict-ignores    repo-specific determinism/correctness rules
 #                                (incl. interprocedural taint + concurrency),
 #                                failing on stale suppressions; archives the
 #                                machine-readable report as csi-vet.json
-#   4. go test -race ./...       full test suite under the race detector
-#   5. traced quickstart         csi-run + csi-analyze with -trace-out/-metrics,
+#   5. go test -race ./...       full test suite under the race detector
+#   6. traced quickstart         csi-run + csi-analyze with -trace-out/-metrics,
 #                                diffed byte-for-byte against testdata/obs/
 #
 # Any failure aborts the gate. Run from anywhere inside the repository.
@@ -27,6 +28,14 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists files that need formatting (run gofmt -w):" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== csi-vet ./... (strict ignores; JSON archived as csi-vet.json)"
 # The JSON report (findings + stale suppressions + the audited suppression
