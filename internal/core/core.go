@@ -135,16 +135,6 @@ type Params struct {
 	// Nil disables cross-session sharing.
 	HalfCache *HalfCache
 
-	// Memo, when non-nil, makes Step 1 resumable across repeated Infers
-	// over one growing trace: per-connection request extraction (and SQ
-	// grouping) is cached keyed by the connection's packet count, so a
-	// re-solve of a live flow rescans only the connections that received
-	// packets since the last solve. A memo belongs to one flow and is not
-	// safe for concurrent use; hits replay the cached requests, warnings
-	// and guard charges byte-identically to a fresh scan (see resume.go),
-	// so a warm memo never changes a result. Nil disables resumption.
-	Memo *EstimateMemo
-
 	// Guard bounds the inference: a work-metered (and optionally
 	// wall-clock-deadlined) cancellation token checked at cheap
 	// deterministic checkpoints in request extraction, the mux candidate

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -196,25 +195,18 @@ func estimateConns(byConn map[int][]packet.View, ids []int, protoOf map[int]pack
 	for _, id := range ids {
 		pkts := byConn[id]
 		// Guard checkpoint: one charge per connection, proportional to the
-		// packets scanned (or, on a memo hit, to the elided scan — the
-		// charge sequence is identical either way). Stopping keeps the
-		// connections already extracted as a partial result.
+		// packets scanned. Stopping keeps the connections already extracted
+		// as a partial result.
 		if !p.Guard.Step(int64(len(pkts))) {
 			break
 		}
-		if m := p.Memo.lookup(id, len(pkts), false); m != nil {
-			*warns = append(*warns, m.warns...)
-			all = append(all, m.reqs...)
-			continue
-		}
 		var reqs []Request
-		var connWarns []Warning
 		var err error
 		switch protoOf[id] {
 		case packet.TCP:
 			g := scanTCPGaps(pkts)
 			if g.upMissing > 0 {
-				connWarns = append(connWarns, Warning{Code: "request_gap",
+				*warns = append(*warns, Warning{Code: "request_gap",
 					Detail: fmt.Sprintf("conn %d: %d uplink bytes lost by the monitor; requests may have merged", id, g.upMissing)})
 			}
 			reqs, err = estimateHTTPSConn(pkts, g)
@@ -230,12 +222,10 @@ func estimateConns(byConn map[int][]packet.View, ids []int, protoOf map[int]pack
 		// polling, beacons — not media. Keeping it would inject noise
 		// requests into every candidate sequence.
 		if p.MinChunkBytes > 0 && len(reqs) >= 2 && allBelow(reqs, p.MinChunkBytes) {
-			connWarns = append(connWarns, Warning{Code: "cross_traffic",
+			*warns = append(*warns, Warning{Code: "cross_traffic",
 				Detail: fmt.Sprintf("conn %d: dropped %d sub-chunk requests as cross traffic", id, len(reqs))})
 			reqs = nil
 		}
-		p.Memo.store(id, connMemo{pkts: len(pkts), reqs: reqs, warns: connWarns})
-		*warns = append(*warns, connWarns...)
 		all = append(all, reqs...)
 	}
 	sort.SliceStable(all, func(a, b int) bool { return all[a].Time < all[b].Time })
@@ -306,27 +296,13 @@ func estimateMuxSession(tr *capture.Trace, byConn map[int][]packet.View, ids []i
 		}
 	}
 	// Guard checkpoint: charge the packets of the one media connection
-	// before the grouping scan (memo hits re-charge the elided scan).
+	// before the grouping scan.
 	if !p.Guard.Step(int64(len(byConn[mid]))) {
 		warns = append(warns, guardWarning(p.Guard))
 		emitWarnings(p, warns)
 		return &Estimation{Proto: proto, Mux: true, Warnings: warns}, nil
 	}
-	var groups []Group
-	var err error
-	if m := p.Memo.lookup(mid, len(byConn[mid]), true); m != nil {
-		groups = cloneGroups(m.groups)
-		if m.groupErr != "" {
-			err = errors.New(m.groupErr)
-		}
-	} else {
-		groups, err = estimateMux(byConn[mid], p, scanQUICGaps(byConn[mid]))
-		e := connMemo{pkts: len(byConn[mid]), mux: true, groups: cloneGroups(groups)}
-		if err != nil {
-			e.groupErr = err.Error()
-		}
-		p.Memo.store(mid, e)
-	}
+	groups, err := estimateMux(byConn[mid], p, scanQUICGaps(byConn[mid]))
 	if err != nil {
 		if p.Degrade {
 			warns = append(warns, Warning{Code: "no_traffic_groups", Detail: err.Error()})

@@ -244,3 +244,30 @@ func TestAllAlgorithmsEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestLostHandshakeRetransmits pins SYN retransmission: on these cellular
+// traces a connection's first SYN or SYN-ACK is lost, and unless the SYN is
+// re-sent the player waits for the handshake until the event queue drains,
+// ending the session with no chunks and no error.
+func TestLostHandshakeRetransmits(t *testing.T) {
+	man := mediatest.Encode(t, media.EncodeConfig{
+		Name: "streamtest", Seed: 23, DurationSec: 300, ChunkDur: 5,
+		TargetPASR: 1.5, AudioTracks: 1,
+	})
+	for _, seed := range []int64{55, 61} {
+		res, err := Run(Config{
+			Design:    SH,
+			Manifest:  man,
+			Bandwidth: netem.GenerateCellular(netem.CellularConfig{Seed: seed, MeanBps: 5_000_000, Variability: 0.4}),
+			Duration:  60,
+			Seed:      seed,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Stats.VideoChunks == 0 {
+			t.Errorf("seed %d: no video chunks; the session stalled in the TCP handshake", seed)
+		}
+		t.Logf("seed %d: %d video chunks", seed, res.Stats.VideoChunks)
+	}
+}

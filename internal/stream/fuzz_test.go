@@ -69,7 +69,14 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(gap)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, validLen, torn, reason := scanSegment(data, 0)
+		var recs []walRecord
+		n, last, validLen, torn, reason := scanSegment(data, 0, func(seq uint64, payload []byte) bool {
+			recs = append(recs, walRecord{seq: seq, payload: payload})
+			return true
+		})
+		if n != len(recs) || (n > 0 && last != recs[n-1].seq) {
+			t.Fatalf("scan reports %d records through seq %d, visited %d", n, last, len(recs))
+		}
 		if validLen < 0 || validLen > int64(len(data)) {
 			t.Fatalf("validLen %d outside [0, %d]", validLen, len(data))
 		}

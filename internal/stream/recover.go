@@ -141,7 +141,7 @@ func OpenDurability(dir string, o DurabilityOptions) (*Durability, error) {
 		gWALLag:     reg.Gauge("stream.wal_lag_frames"),
 	}
 
-	w, recs, torn, corrupt, err := openWAL(dir, segPaths, o.SegmentBytes)
+	w, torn, corrupt, err := openWAL(dir, segPaths, o.SegmentBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,15 @@ func OpenDurability(dir string, o DurabilityOptions) (*Durability, error) {
 			Detail: "incomplete record at the wal tail dropped (crash mid-append); the valid prefix replays"})
 	}
 
-	snap, snapWarns, err := loadLatestSnapshot(snapPaths, recs)
+	// The salvaged WAL holds consecutive records first..last; choosing the
+	// snapshot needs only that range, so no record is read before the
+	// chosen snapshot says where recovery starts.
+	walHeld := len(w.segs) > 0
+	first, last := uint64(1), uint64(0)
+	if walHeld {
+		first, last = w.segs[0].first, w.lastSeq
+	}
+	snap, snapWarns, err := loadLatestSnapshot(snapPaths, first, last)
 	d.warns = append(d.warns, snapWarns...)
 	if err != nil {
 		return refuse(err)
@@ -170,19 +178,19 @@ func OpenDurability(dir string, o DurabilityOptions) (*Durability, error) {
 		d.restored = len(snap.Results)
 	}
 
-	// Drop records before the snapshot's keepFrom. What remains is the
-	// live flows' re-tap frames through snapSeq (present: the snapshot is
-	// anchored), then the replay tail, and must start at keepFrom.
-	tail := recs
-	for len(tail) > 0 && tail[0].seq < d.keep {
-		tail = tail[1:]
+	// Recovery reads the records from the snapshot's keepFrom on: the live
+	// flows' re-tap frames through snapSeq (present: the snapshot is
+	// anchored), then the replay tail. They must start at keepFrom.
+	var nTail int
+	if walHeld && last >= d.keep {
+		nTail = int(last - max(first, d.keep) + 1)
 	}
-	if len(tail) > 0 && tail[0].seq != d.keep {
+	if nTail > 0 && first > d.keep {
 		if snap == nil {
 			// No snapshot to anchor a WAL that starts past frame 1: the
 			// prefix is unrecoverable and silently wrong output is worse
 			// than refusing.
-			err := fmt.Errorf("stream: wal starts at seq %d with no usable snapshot covering the prefix", tail[0].seq)
+			err := fmt.Errorf("stream: wal starts at seq %d with no usable snapshot covering the prefix", first)
 			for _, warn := range d.warns {
 				err = fmt.Errorf("%w; %s: %s", err, warn.Code, warn.Detail)
 			}
@@ -192,41 +200,51 @@ func OpenDurability(dir string, o DurabilityOptions) (*Durability, error) {
 		// from a crash; only external damage): the snapshot is
 		// authoritative, the tail is unusable.
 		d.warns = append(d.warns, core.Warning{Code: "wal_gap",
-			Detail: fmt.Sprintf("wal resumes at seq %d but snapshot covers through %d; dropping %d unanchored records", tail[0].seq, snapSeq, len(tail))})
+			Detail: fmt.Sprintf("wal resumes at seq %d but snapshot covers through %d; dropping %d unanchored records", first, snapSeq, nTail)})
 		if err := w.truncateThrough(w.lastSeq); err != nil {
 			return refuse(err)
 		}
 		w.lastSeq = snapSeq
-		tail = nil
+		nTail = 0
 	}
 
 	d.snap = snap
 	d.baseSeq = max(snapSeq, w.lastSeq)
 	// Decode before any monitor starts, so baseSeq is final before a
-	// goroutine reads it.
-	for _, rec := range tail {
-		var f Frame
-		if err := decodeFrame(rec.payload, &f); err != nil {
-			// CRC-clean but unparseable: corruption the checksum cannot
-			// see. Inside the re-tap range the snapshot's flows cannot be
-			// rebuilt; past it, salvage stops here, the records behind it
-			// are unanchored, and the on-disk log is no longer consistent
-			// with what replays — degrade to non-durable.
-			if rec.seq <= snapSeq {
-				return refuse(fmt.Errorf("stream: wal record seq %d undecodable (%v) but needed to rebuild the snapshot at seq %d", rec.seq, err, snapSeq))
-			}
-			d.warns = append(d.warns, core.Warning{Code: "wal_corrupt",
-				Detail: fmt.Sprintf("wal record seq %d undecodable (%v); dropping the rest of the tail", rec.seq, err)})
-			d.baseSeq = rec.seq - 1
-			d.fail(fmt.Errorf("stream: wal record seq %d undecodable", rec.seq))
-			break
+	// goroutine reads it. Each frame is decoded over the previous one, so
+	// a flow name or address repeated frame after frame is shared.
+	var f Frame
+	var badSeq uint64
+	var badErr error
+	d.frames = make([]Frame, 0, nTail)
+	if err := w.replay(d.keep, func(seq uint64, payload []byte) bool {
+		if badErr = decodeFrame(payload, &f); badErr != nil {
+			badSeq = seq
+			return false
 		}
 		d.frames = append(d.frames, f)
+		return true
+	}); err != nil {
+		return refuse(err)
+	}
+	if badErr != nil {
+		// CRC-clean but unparseable: corruption the checksum cannot see.
+		// Inside the re-tap range the snapshot's flows cannot be rebuilt;
+		// past it, salvage stops here, the records behind it are
+		// unanchored, and the on-disk log is no longer consistent with
+		// what replays — degrade to non-durable.
+		if badSeq <= snapSeq {
+			return refuse(fmt.Errorf("stream: wal record seq %d undecodable (%v) but needed to rebuild the snapshot at seq %d", badSeq, badErr, snapSeq))
+		}
+		d.warns = append(d.warns, core.Warning{Code: "wal_corrupt",
+			Detail: fmt.Sprintf("wal record seq %d undecodable (%v); dropping the rest of the tail", badSeq, badErr)})
+		d.baseSeq = badSeq - 1
+		d.fail(fmt.Errorf("stream: wal record seq %d undecodable", badSeq))
 	}
 	d.lastSnapSeq = snapSeq
 	d.walBytes = w.totalBytes()
-	d.sinceSnap = len(tail) - int(snapSeq+1-d.keep)
-	if snap != nil || len(recs) > 0 || torn || corrupt != nil {
+	d.sinceSnap = nTail - int(snapSeq+1-d.keep)
+	if snap != nil || walHeld || torn || corrupt != nil {
 		d.recovered = true
 		d.cRecoveries.Inc()
 	}

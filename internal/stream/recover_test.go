@@ -214,6 +214,64 @@ func TestRecoverTornWALTailWarns(t *testing.T) {
 	}
 }
 
+// TestRecoverUndecodableWALRecord pins the rule for a CRC-clean record that
+// does not decode as a frame: past the snapshot it ends the salvaged tail
+// (wal_corrupt, durability off, the input resumes before it); inside the
+// range a snapshot's live flows re-tap from, recovery refuses.
+func TestRecoverUndecodableWALRecord(t *testing.T) {
+	man := testManifest(t, session.SH)
+	frames := durTestFrames(t, man)
+	const bad = 6 // sequence of the undecodable record
+	writeWAL := func(t *testing.T, dir string) {
+		d, err := OpenDurability(dir, DurabilityOptions{SyncPolicy: SyncAlways, SegmentBytes: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := uint64(1); seq <= 10; seq++ {
+			if seq == bad {
+				if _, err := d.w.append(seq, append(make([]byte, walHeaderBytes), `{"flow":7}`...)); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			d.appendFrame(seq, &frames[seq-1])
+		}
+		d.close()
+	}
+
+	t.Run("past the snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		writeWAL(t, dir)
+		d, err := OpenDurability(dir, DurabilityOptions{})
+		if err != nil {
+			t.Fatalf("an undecodable tail record must salvage, not fail: %v", err)
+		}
+		defer d.close()
+		if w := d.Warnings(); len(w) != 1 || w[0].Code != "wal_corrupt" || !strings.Contains(w[0].Detail, "undecodable") {
+			t.Fatalf("warnings = %v, want one wal_corrupt for the undecodable record", w)
+		}
+		if d.baseSeq != bad-1 || len(d.frames) != bad-1 || !d.Status().(DurabilityStatus).Failed {
+			t.Fatalf("baseSeq %d, %d frames, status %+v; want the %d frames before the bad record and durability off",
+				d.baseSeq, len(d.frames), d.Status(), bad-1)
+		}
+	})
+
+	t.Run("inside the re-tap range", func(t *testing.T) {
+		dir := t.TempDir()
+		writeWAL(t, dir)
+		buf, err := encodeSnapshot(&Snapshot{Version: snapshotVersion, Seq: 8, Flows: []FlowSnap{{Name: frames[0].Flow, FirstSeq: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := writeSnapshotFile(dir, 8, buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenDurability(dir, DurabilityOptions{}); err == nil || !strings.Contains(err.Error(), "needed to rebuild the snapshot") {
+			t.Fatalf("err = %v, want a refusal naming the snapshot the record rebuilds", err)
+		}
+	})
+}
+
 // TestSnapshotCorruptFallback pins the snapshot chain: a damaged newest
 // snapshot falls back to its predecessor with a structured warning; with
 // every snapshot damaged, recovery proceeds from nothing.
@@ -517,7 +575,7 @@ func TestSnapshotRetentionAndAnchoring(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, _, _, reason := scanSegment(data, 0)
+		recs, _, _, reason := scanRecords(data)
 		if reason != "" || len(recs) == 0 {
 			t.Fatalf("%s: %d records, %q", seg, len(recs), reason)
 		}
@@ -670,7 +728,7 @@ func TestSnapshotCarriesStaleFlow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, _, _, _ := scanSegment(data, 0)
+		recs, _, _, _ := scanRecords(data)
 		walFrames += len(recs)
 	}
 	t.Logf("%d frames fed, wal holds %d (bound %d)", k, walFrames, bound)

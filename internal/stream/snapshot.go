@@ -25,7 +25,7 @@ import (
 // recomputing the derived counters) the live monitor held. A flow older
 // than anchorLag carries its packets instead, so no flow, however long it
 // lives or stays silent, pins the WAL. Solve-cadence state (provisional
-// inferences, estimate memos, quarantine failure streaks) is deliberately
+// inferences, quarantine failure streaks) is deliberately
 // absent: provisional solves never change final results, so recovery
 // restarts them from scratch.
 //
@@ -186,13 +186,14 @@ func syncDir(dir string) error {
 }
 
 // loadLatestSnapshot tries the given snapshot paths newest-first and
-// returns the first usable one: it verifies, and recs, the salvaged WAL,
+// returns the first usable one: it verifies, and the salvaged WAL, whose
+// records run from first through last (first > last when it is empty),
 // holds every frame from its keepFrom through its Seq for restore to
 // re-tap. Corrupt or unanchored candidates are skipped with a structured
 // warning — an interrupted snapshot write must fall back to its
 // predecessor, not kill recovery. A snapshot in another format version is
 // an error instead: skipping it would re-emit the results it carries.
-func loadLatestSnapshot(paths []string, recs []walRecord) (*Snapshot, []core.Warning, error) {
+func loadLatestSnapshot(paths []string, first, last uint64) (*Snapshot, []core.Warning, error) {
 	var warns []core.Warning
 	for i := len(paths) - 1; i >= 0; i-- {
 		name := filepath.Base(paths[i])
@@ -209,8 +210,7 @@ func loadLatestSnapshot(paths []string, recs []walRecord) (*Snapshot, []core.War
 				Detail: fmt.Sprintf("%s unusable (%v); falling back", name, err)})
 			continue
 		}
-		if from := s.keepFrom(); from <= s.Seq &&
-			(len(recs) == 0 || recs[0].seq > from || recs[len(recs)-1].seq < s.Seq) {
+		if from := s.keepFrom(); from <= s.Seq && (first > from || last < s.Seq) {
 			warns = append(warns, core.Warning{Code: "snapshot_unanchored",
 				Detail: fmt.Sprintf("%s needs wal frames %d through %d, which the wal no longer holds; falling back", name, from, s.Seq)})
 			continue
@@ -290,7 +290,7 @@ func (m *Monitor) restoreSnapshot(s *Snapshot, frames []Frame, from uint64) {
 	}
 	for _, fsn := range s.Flows {
 		tr := capture.NewTrace()
-		fs := &flowState{name: fsn.Name, trace: tr, tap: tr.Tap(), memo: core.NewEstimateMemo(), firstSeq: fsn.FirstSeq, lastSeq: fsn.LastSeq}
+		fs := &flowState{name: fsn.Name, trace: tr, tap: tr.Tap(), firstSeq: fsn.FirstSeq, lastSeq: fsn.LastSeq}
 		m.flows[fsn.Name] = fs
 		m.liveFlows++
 		for _, v := range fsn.Carried {

@@ -56,7 +56,7 @@ type Options struct {
 	// Manifest is the chunk-size ladder every flow is matched against.
 	Manifest *media.Manifest
 	// Params is the base inference configuration applied to every flow
-	// (MediaHost, Mux, Degrade, K, Stages, ...). Memo, Guard and Obs are
+	// (MediaHost, Mux, Degrade, K, Stages, ...). Guard and Obs are
 	// overridden per solve; HalfCache should be set here when sharing is
 	// wanted, and Stages when the daemon serves per-stage latencies.
 	Params core.Params
@@ -71,11 +71,11 @@ type Options struct {
 	// ResolveEvery re-solves a flow after this many new packets, keeping a
 	// provisional inference warm for the status page. 0 disables mid-flow
 	// solves (each flow is solved once, at finalization). Provisional
-	// solves never change final results: the estimate memo and the half
-	// cache replay their work byte-identically. Under ShedDrop a flow whose
-	// solve is still running when its next one falls due is re-solved once
-	// that solve completes, over everything buffered by then, so fewer
-	// solves run under load. Under ShedBlock without Params.Mux the control
+	// solves never change final results: each solve is a pure function of
+	// the flow's packets so far, and the shared half cache replays its work
+	// byte-identically. Under ShedDrop a flow whose solve is still running
+	// when its next one falls due is re-solved once that solve completes,
+	// over everything buffered by then, so fewer solves run under load. Under ShedBlock without Params.Mux the control
 	// loop waits for that solve instead, so a flow is solved at exactly
 	// every ResolveEvery-th packet and the solve count is a function of the
 	// frames alone. Mux flows coalesce in both modes: each of their solves
@@ -129,13 +129,12 @@ func (o Options) withDefaults() Options {
 }
 
 // flowState is one monitored flow. The control goroutine owns every field;
-// while solving is set the trace and memo are frozen — workers read them,
-// the control loop buffers arrivals in pending instead of tapping.
+// while solving is set the trace is frozen — workers read it, the control
+// loop buffers arrivals in pending instead of tapping.
 type flowState struct {
 	name  string
 	trace *capture.Trace
 	tap   func(packet.View, float64)
-	memo  *core.EstimateMemo
 
 	packets  int
 	bytes    int64
@@ -456,7 +455,7 @@ func (m *Monitor) handleFrame(f Frame) {
 			m.evictLRU()
 		}
 		tr := capture.NewTrace()
-		fs = &flowState{name: f.Flow, trace: tr, tap: tr.Tap(), memo: core.NewEstimateMemo(), firstSeq: m.seq}
+		fs = &flowState{name: f.Flow, trace: tr, tap: tr.Tap(), firstSeq: m.seq}
 		m.flows[f.Flow] = fs
 		m.liveFlows++
 		m.gActive.Set(float64(m.liveFlows))
@@ -715,14 +714,14 @@ func (m *Monitor) solve(name string) solveDone {
 		return d
 	}
 	p := m.opts.Params
-	p.Memo = fs.memo
 	p.Guard = guard.New(m.opts.WorkBudget)
 	if m.opts.SolveDeadlineSec > 0 && m.opts.Clock != nil {
 		p.Guard.WithDeadline(m.opts.Clock, m.opts.SolveDeadlineSec)
 	}
-	// Per-flow solves run untraced: an estimate-memo hit elides the scan's
-	// obs events, so tracing would differ between solve cadences while the
-	// results do not. The monitor's own registry carries the stream metrics.
+	// Per-flow solves run untraced: the number of solves a flow gets
+	// depends on timing under ShedDrop (and for mux flows in either mode),
+	// so their obs events would differ between runs while the results do
+	// not. The monitor's own registry carries the stream metrics.
 	p.Obs = nil
 	d.err = contain(func() error {
 		if testHookSolve != nil {
@@ -750,8 +749,8 @@ func contain(fn func() error) (err error) {
 // monitor's post-finalize drop rule), run one batch core.Infer per flow,
 // and emit results in the same order the monitor would commit them — close
 // markers in frame order first, then never-closed flows in sorted name
-// order with ReasonDrain. No monitor, no workers, no memo: just the plain
-// offline pipeline.
+// order with ReasonDrain. No monitor, no workers: just the plain offline
+// pipeline.
 func Batch(frames []Frame, opts Options) []Result {
 	opts = opts.withDefaults()
 	type batchFlow struct {

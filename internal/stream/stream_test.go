@@ -84,7 +84,10 @@ func marshalResults(t *testing.T, results []Result) []byte {
 // TestReplayMatchesBatch pins the tentpole determinism gate: a monitor in
 // replay configuration — incremental solves every 40 packets, shared half
 // cache, worker pool racing against ingest — must serialize byte-identically
-// to the plain offline batch pipeline over the same frame stream.
+// to the plain offline batch pipeline over the same frame stream. With a
+// small work budget every solve gets a fresh guard, so the final solve must
+// truncate exactly where the batch solve of the same flow does: 30000 steps
+// stop beta and gamma partway through Step 1 and leave alpha whole.
 func TestReplayMatchesBatch(t *testing.T) {
 	testleak.Check(t)
 	man := testManifest(t, session.SH)
@@ -94,15 +97,23 @@ func TestReplayMatchesBatch(t *testing.T) {
 		"gamma": testSession(t, man, session.SH, 43, 60),
 	}
 	frames := Pack(runs)
-	opts := replayOpts(man, false)
-	opts.ResolveEvery = 40
-	opts.QuarantineAfter = 3
-	opts.Params.HalfCache = core.NewHalfCache(64 << 20)
+	for _, budget := range []int64{0, 30000} {
+		opts := replayOpts(man, false)
+		opts.ResolveEvery = 40
+		opts.QuarantineAfter = 3
+		opts.WorkBudget = budget
+		opts.Params.HalfCache = core.NewHalfCache(64 << 20)
+		batchOpts := replayOpts(man, false)
+		batchOpts.WorkBudget = budget
 
-	got := marshalResults(t, replayThrough(t, frames, opts))
-	want := marshalResults(t, Batch(frames, replayOpts(man, false)))
-	if !bytes.Equal(got, want) {
-		t.Fatalf("replay output diverged from batch:\nreplay:\n%s\nbatch:\n%s", got, want)
+		got := marshalResults(t, replayThrough(t, frames, opts))
+		want := marshalResults(t, Batch(frames, batchOpts))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("work budget %d: replay output diverged from batch:\nreplay:\n%s\nbatch:\n%s", budget, got, want)
+		}
+		if truncated := bytes.Contains(want, []byte("deadline_exceeded")); truncated != (budget > 0) {
+			t.Fatalf("work budget %d: batch truncated = %v, want %v:\n%s", budget, truncated, budget > 0, want)
+		}
 	}
 }
 

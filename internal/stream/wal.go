@@ -92,11 +92,6 @@ func (e *WALCorruptError) Error() string {
 		filepath.Base(e.Segment), e.Offset, e.Reason, e.LastGoodSeq)
 }
 
-type walRecord struct {
-	seq     uint64
-	payload []byte
-}
-
 type walSeg struct {
 	path  string
 	first uint64 // 0 until the first record lands
@@ -132,76 +127,80 @@ func isSeqName(name, prefix, suffix string) bool {
 	return okPrefix && okSuffix && len(digits) == 20 && err == nil
 }
 
-// scanSegment walks one segment's bytes. It returns the records of the
-// valid prefix, the byte length of that prefix, whether the scan stopped on
-// a torn (incomplete) record, and — for any other stop — the corruption
-// reason. nextSeq is the expected sequence of the first record (0 = accept
-// any) and is threaded across segments to detect gaps.
-func scanSegment(data []byte, nextSeq uint64) (recs []walRecord, validLen int64, torn bool, reason string) {
+// scanSegment walks one segment's bytes, calling visit (when non-nil) on
+// each record of the valid prefix in order; the payload aliases data, and
+// visit returning false stops the walk there. It returns the number of
+// records and the last sequence of the valid prefix, the prefix's byte
+// length, whether the scan stopped on a torn (incomplete) record, and — for
+// any other stop — the corruption reason. nextSeq is the expected sequence
+// of the first record (0 = accept any) and is threaded across segments to
+// detect gaps; within the prefix sequences are consecutive.
+func scanSegment(data []byte, nextSeq uint64, visit func(seq uint64, payload []byte) bool) (n int, last uint64, validLen int64, torn bool, reason string) {
 	off := 0
 	for off < len(data) {
 		if len(data)-off < walHeaderBytes {
-			return recs, int64(off), true, ""
+			return n, last, int64(off), true, ""
 		}
 		ln := binary.LittleEndian.Uint32(data[off:])
 		sum := binary.LittleEndian.Uint32(data[off+4:])
 		seq := binary.LittleEndian.Uint64(data[off+8:])
 		if ln == 0 {
-			return recs, int64(off), false, "zero-length record"
+			return n, last, int64(off), false, "zero-length record"
 		}
 		if ln > walMaxRecordBytes {
-			return recs, int64(off), false, fmt.Sprintf("implausible record length %d", ln)
+			return n, last, int64(off), false, fmt.Sprintf("implausible record length %d", ln)
 		}
 		end := off + walHeaderBytes + int(ln)
 		if end > len(data) {
-			return recs, int64(off), true, ""
+			return n, last, int64(off), true, ""
 		}
 		if crc32.ChecksumIEEE(data[off+8:end]) != sum {
-			return recs, int64(off), false, "checksum mismatch"
+			return n, last, int64(off), false, "checksum mismatch"
 		}
 		if nextSeq != 0 && seq != nextSeq {
-			return recs, int64(off), false, fmt.Sprintf("sequence gap (record %d follows %d)", seq, nextSeq-1)
+			return n, last, int64(off), false, fmt.Sprintf("sequence gap (record %d follows %d)", seq, nextSeq-1)
 		}
-		payload := make([]byte, ln)
-		copy(payload, data[off+walHeaderBytes:end])
-		recs = append(recs, walRecord{seq: seq, payload: payload})
-		nextSeq = seq + 1
+		n, last, nextSeq = n+1, seq, seq+1
+		payload := data[off+walHeaderBytes : end]
 		off = end
+		if visit != nil && !visit(seq, payload) {
+			break
+		}
 	}
-	return recs, int64(off), false, ""
+	return n, last, int64(off), false, ""
 }
 
 // openWAL scans the given segment files (already name-sorted by the
-// caller), salvages the valid record prefix, truncates the on-disk tail to
-// exactly that prefix, and returns the WAL positioned for appending after
-// it. A torn tail in the final segment is tolerated silently (torn=true); a
+// caller) one at a time, salvages the valid record prefix, truncates the
+// on-disk tail to exactly that prefix, and returns the WAL positioned for
+// appending after it; the records themselves are read back with replay. A
+// torn tail in the final segment is tolerated silently (torn=true); a
 // mid-log stop is returned as a *WALCorruptError after salvage. Both leave
 // the WAL fully usable.
-func openWAL(dir string, segPaths []string, segBytes int64) (w *wal, recs []walRecord, torn bool, corrupt *WALCorruptError, err error) {
+func openWAL(dir string, segPaths []string, segBytes int64) (w *wal, torn bool, corrupt *WALCorruptError, err error) {
 	w = &wal{dir: dir, segBytes: segBytes}
 	var nextSeq uint64
 	for i, path := range segPaths {
 		data, rerr := os.ReadFile(path)
 		if rerr != nil {
-			return nil, nil, false, nil, fmt.Errorf("stream: reading wal segment: %w", rerr)
+			return nil, false, nil, fmt.Errorf("stream: reading wal segment: %w", rerr)
 		}
-		segRecs, validLen, segTorn, reason := scanSegment(data, nextSeq)
+		n, last, validLen, segTorn, reason := scanSegment(data, nextSeq, nil)
 		final := i == len(segPaths)-1
 		damaged := reason != "" || (segTorn && !final)
 
-		if len(segRecs) == 0 && !damaged && !segTorn {
+		if n == 0 && !damaged && !segTorn {
 			// Empty segment (crash between rotation and the first record):
 			// drop it so it cannot shadow a future rotation.
 			if rmErr := os.Remove(path); rmErr != nil {
-				return nil, nil, false, nil, fmt.Errorf("stream: dropping empty wal segment: %w", rmErr)
+				return nil, false, nil, fmt.Errorf("stream: dropping empty wal segment: %w", rmErr)
 			}
 			continue
 		}
-		if len(segRecs) > 0 {
-			w.segs = append(w.segs, walSeg{path: path, first: segRecs[0].seq, last: segRecs[len(segRecs)-1].seq, size: validLen})
-			w.lastSeq = segRecs[len(segRecs)-1].seq
-			nextSeq = w.lastSeq + 1
-			recs = append(recs, segRecs...)
+		if n > 0 {
+			w.segs = append(w.segs, walSeg{path: path, first: last + 1 - uint64(n), last: last, size: validLen})
+			w.lastSeq = last
+			nextSeq = last + 1
 		}
 		if damaged || (segTorn && final) {
 			if reason == "" {
@@ -209,12 +208,12 @@ func openWAL(dir string, segPaths []string, segBytes int64) (w *wal, recs []walR
 			}
 			if validLen < int64(len(data)) {
 				if terr := truncateSalvage(path, validLen); terr != nil {
-					return nil, nil, false, nil, terr
+					return nil, false, nil, terr
 				}
 			}
 			for _, later := range segPaths[i+1:] {
 				if rmErr := os.Remove(later); rmErr != nil {
-					return nil, nil, false, nil, fmt.Errorf("stream: dropping wal segment past corruption: %w", rmErr)
+					return nil, false, nil, fmt.Errorf("stream: dropping wal segment past corruption: %w", rmErr)
 				}
 			}
 			if damaged {
@@ -230,12 +229,38 @@ func openWAL(dir string, segPaths []string, segBytes int64) (w *wal, recs []walR
 		tail := w.segs[n-1]
 		f, oerr := os.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if oerr != nil {
-			return nil, nil, false, nil, fmt.Errorf("stream: reopening wal tail: %w", oerr)
+			return nil, false, nil, fmt.Errorf("stream: reopening wal tail: %w", oerr)
 		}
 		w.f = f
 		w.size = tail.size
 	}
-	return w, recs, torn, corrupt, nil
+	return w, torn, corrupt, nil
+}
+
+// replay reads the WAL back from sequence from on, one segment at a time,
+// calling visit on each record in order until it returns false. The payload
+// aliases the segment's bytes, which are dropped before the next segment is
+// read, so at most one segment is resident. Only valid after openWAL, which
+// cut every segment back to its valid prefix.
+func (w *wal) replay(from uint64, visit func(seq uint64, payload []byte) bool) error {
+	for _, seg := range w.segs {
+		if seg.last < from {
+			continue
+		}
+		data, err := os.ReadFile(seg.path)
+		if err != nil {
+			return fmt.Errorf("stream: reading wal segment: %w", err)
+		}
+		more := true
+		scanSegment(data, 0, func(seq uint64, payload []byte) bool {
+			more = seq < from || visit(seq, payload)
+			return more
+		})
+		if !more {
+			return nil
+		}
+	}
+	return nil
 }
 
 // truncateSalvage cuts a damaged segment back to its valid prefix (deleting

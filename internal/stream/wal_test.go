@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -25,11 +26,36 @@ func walSegsOnDisk(t *testing.T, dir string) []string {
 	return paths
 }
 
+// walRecord is one salvaged WAL record, its payload copied out of the
+// segment bytes.
+type walRecord struct {
+	seq     uint64
+	payload []byte
+}
+
+// scanRecords runs scanSegment from any first sequence and collects the
+// records of the valid prefix.
+func scanRecords(data []byte) (recs []walRecord, validLen int64, torn bool, reason string) {
+	_, _, validLen, torn, reason = scanSegment(data, 0, func(seq uint64, payload []byte) bool {
+		recs = append(recs, walRecord{seq: seq, payload: bytes.Clone(payload)})
+		return true
+	})
+	return recs, validLen, torn, reason
+}
+
+// openWALDir opens the WAL in dir and reads back every salvaged record.
 func openWALDir(t *testing.T, dir string, segBytes int64) (*wal, []walRecord, bool, *WALCorruptError) {
 	t.Helper()
-	w, recs, torn, corrupt, err := openWAL(dir, walSegsOnDisk(t, dir), segBytes)
+	w, torn, corrupt, err := openWAL(dir, walSegsOnDisk(t, dir), segBytes)
 	if err != nil {
 		t.Fatalf("openWAL: %v", err)
+	}
+	var recs []walRecord
+	if err := w.replay(0, func(seq uint64, payload []byte) bool {
+		recs = append(recs, walRecord{seq: seq, payload: bytes.Clone(payload)})
+		return true
+	}); err != nil {
+		t.Fatalf("replay: %v", err)
 	}
 	return w, recs, torn, corrupt
 }

@@ -185,31 +185,53 @@ func (ep *Endpoint) traceCwnd() {
 	ep.tr.Sample("tcp", "cwnd_bytes", ep.cwnd)
 }
 
+// synRetries bounds SYN retransmission like Linux's tcp_syn_retries
+// default: after the sixth retry (127 s of backoff) the handshake gives up.
+const synRetries = 6
+
 // Start performs the 3-way handshake and calls onOpen (at the client) when
-// the connection is established.
+// the connection is established. A lost SYN or SYN-ACK is recovered by
+// re-sending the SYN on a timer that starts at 1 s and doubles on each
+// expiry (RFC 6298 §2.1, §5.5); the server answers every SYN, and the
+// client opens on the first SYN-ACK and ignores duplicates.
 func (c *Conn) Start(onOpen func(now float64)) {
 	cl, sv := c.Client, c.Server
-	syn := &packet.Packet{
-		Size: packet.IPHeader + packet.TCPHeader + 12, // SYN options
-		View: packet.View{Dir: packet.Up, Proto: packet.TCP, ConnID: c.cfg.ConnID, ServerIP: c.cfg.ServerIP},
-	}
-	syn.Arrive = func(now float64) {
-		synack := &packet.Packet{
-			Size: packet.IPHeader + packet.TCPHeader + 12,
-			View: packet.View{Dir: packet.Down, Proto: packet.TCP, ConnID: c.cfg.ConnID, ServerIP: c.cfg.ServerIP},
+	open := false
+	var timer *sim.Event
+	onSynAck := func(now float64) {
+		if open {
+			return // a duplicate answering a retransmitted SYN
 		}
-		synack.Arrive = func(now float64) {
-			ack := &packet.Packet{
-				Size: packet.IPHeader + packet.TCPHeader,
-				View: packet.View{Dir: packet.Up, Proto: packet.TCP, ConnID: c.cfg.ConnID, ServerIP: c.cfg.ServerIP},
+		open = true
+		timer.Cancel()
+		ack := &packet.Packet{
+			Size: packet.IPHeader + packet.TCPHeader,
+			View: packet.View{Dir: packet.Up, Proto: packet.TCP, ConnID: c.cfg.ConnID, ServerIP: c.cfg.ServerIP},
+		}
+		ack.Arrive = func(now float64) {}
+		cl.out.Send(ack)
+		onOpen(c.eng.Now())
+	}
+	var sendSyn func(retries int, rto float64)
+	sendSyn = func(retries int, rto float64) {
+		syn := &packet.Packet{
+			Size: packet.IPHeader + packet.TCPHeader + 12, // SYN options
+			View: packet.View{Dir: packet.Up, Proto: packet.TCP, ConnID: c.cfg.ConnID, ServerIP: c.cfg.ServerIP},
+		}
+		syn.Arrive = func(now float64) {
+			synack := &packet.Packet{
+				Size: packet.IPHeader + packet.TCPHeader + 12,
+				View: packet.View{Dir: packet.Down, Proto: packet.TCP, ConnID: c.cfg.ConnID, ServerIP: c.cfg.ServerIP},
 			}
-			ack.Arrive = func(now float64) {}
-			cl.out.Send(ack)
-			onOpen(c.eng.Now())
+			synack.Arrive = onSynAck
+			sv.out.Send(synack)
 		}
-		sv.out.Send(synack)
+		cl.out.Send(syn)
+		if retries < synRetries {
+			timer = c.eng.Schedule(rto, func() { sendSyn(retries+1, 2*rto) })
+		}
 	}
-	cl.out.Send(syn)
+	sendSyn(0, 1)
 }
 
 // SetClassifier installs the TLS byte classifier for this direction.

@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"math"
 	"testing"
 
 	"csi/internal/ivl"
@@ -220,5 +221,54 @@ func TestReorderingToleranceTCP(t *testing.T) {
 	// Some spurious SACK-hole retransmissions are expected but bounded.
 	if conn.Server.Retransmits > 100 {
 		t.Fatalf("reordering caused %d retransmissions", conn.Server.Retransmits)
+	}
+}
+
+// wire delivers each packet after 20 ms, dropping the sends that drop
+// selects (1-based) and delivering the others copies times.
+type wire struct {
+	eng    *sim.Engine
+	sent   int
+	drop   int
+	copies int
+}
+
+func (w *wire) Send(p *packet.Packet) {
+	w.sent++
+	if w.sent == w.drop {
+		return
+	}
+	for i := 0; i < w.copies; i++ {
+		w.eng.Schedule(0.02, func() { p.Arrive(w.eng.Now()) })
+	}
+}
+
+// TestHandshakeRecoversLostSyn pins SYN retransmission: a lost SYN or
+// SYN-ACK is recovered by re-sending the SYN after the initial 1 s timeout,
+// the connection opens exactly once, and a duplicate SYN-ACK is ignored.
+func TestHandshakeRecoversLostSyn(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		upDrop, downDrop, dups int
+		openAt                 float64
+		upSent                 int // SYNs plus the handshake ACK
+	}{
+		{"lost SYN", 1, 0, 1, 1.04, 3},
+		{"lost SYN-ACK", 0, 1, 1, 1.04, 3},
+		{"duplicate SYN-ACK", 0, 0, 2, 0.04, 2},
+	} {
+		eng := sim.New()
+		up := &wire{eng: eng, drop: tc.upDrop, copies: 1}
+		down := &wire{eng: eng, drop: tc.downDrop, copies: tc.dups}
+		conn := NewConn(eng, Config{ConnID: 1}, up, down)
+		var opens []float64
+		conn.Start(func(now float64) { opens = append(opens, now) })
+		eng.Run()
+		if len(opens) != 1 || math.Abs(opens[0]-tc.openAt) > 1e-9 {
+			t.Errorf("%s: opened at %v, want once at %g", tc.name, opens, tc.openAt)
+		}
+		if up.sent != tc.upSent {
+			t.Errorf("%s: client sent %d packets, want %d", tc.name, up.sent, tc.upSent)
+		}
 	}
 }

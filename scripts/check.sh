@@ -2,16 +2,33 @@
 # check.sh — the single pre-merge gate (tier-1+ verify).
 #
 # Runs, in order:
-#   1. go build ./...            everything compiles
-#   2. go vet ./...              stock vet
-#   3. gofmt -l .                every Go file is gofmt-clean (any output fails)
-#   4. csi-vet -strict-ignores    repo-specific determinism/correctness rules
-#                                (incl. interprocedural taint + concurrency),
-#                                failing on stale suppressions; archives the
-#                                machine-readable report as csi-vet.json
-#   5. go test -race ./...       full test suite under the race detector
-#   6. traced quickstart         csi-run + csi-analyze with -trace-out/-metrics,
-#                                diffed byte-for-byte against testdata/obs/
+#   1. go build ./...              everything compiles
+#   2. go vet ./...                stock vet
+#   3. gofmt -l .                  every Go file is gofmt-clean (any output fails)
+#   4. csi-vet -strict-ignores     repo-specific determinism/correctness rules
+#                                  (incl. interprocedural taint + concurrency),
+#                                  failing on stale suppressions; archives the
+#                                  machine-readable report as csi-vet.json
+#   5. go test -race ./...         full test suite under the race detector
+#   6. core bench smoke            one iteration of each mux search
+#                                  microbenchmark pair (kernel vs serial)
+#   7. traced quickstart           csi-run + csi-analyze with -trace-out/-metrics,
+#                                  diffed byte-for-byte against testdata/obs/
+#   8. live ops plane smoke        csi-paper -serve probed by livesmoke.go, then
+#                                  the traced quickstart again with -serve on
+#   9. half-cache goldens          csi-analyze -half-cache-mb vs testdata/obs/
+#  10. perfbench self-check        every benchmark workload at its smallest size
+#  11. fuzz smokes                 capture decoders and the -faults parser
+#  12. fault goldens               impaired runs are byte-deterministic and the
+#                                  degraded inference matches testdata/obs/
+#  13. monitor replay              csi-monitord -replay == -batch, byte for byte
+#  14. monitor live smoke          frames on stdin: one result per flow
+#  15. monitor eviction smoke      a one-slot flow table evicts with a warning
+#  16. crash-recovery matrix       kill at each crashpoint, recover, cmp to the
+#                                  uninterrupted replay
+#  17. fuzz smokes                 WAL salvage, stream ingest, frame codec
+#  18. bounded inference smoke     a one-step work budget yields a partial result
+#  19. degradation sweep smoke     TestFaultSweepSmoke
 #
 # Any failure aborts the gate. Run from anywhere inside the repository.
 # `check.sh -quick` trims the crash-recovery matrix to its two
