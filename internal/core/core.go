@@ -352,7 +352,14 @@ var (
 // frame — including one raised on a mux search worker goroutine — is
 // contained and returned as a *guard.PanicError, so one poisoned session
 // cannot take down a batch.
-func Infer(man *media.Manifest, tr *capture.Trace, p Params) (inf *Inference, err error) {
+func Infer(man *media.Manifest, tr *capture.Trace, p Params) (*Inference, error) {
+	return NewStep1().Infer(man, tr, p)
+}
+
+// Infer is the package-level Infer with Step 1 resumed from s (see Step1):
+// a monitor re-solving a growing flow hands the flow's Step1 to each solve,
+// and every solve returns what a fresh Infer over the same prefix returns.
+func (s *Step1) Infer(man *media.Manifest, tr *capture.Trace, p Params) (inf *Inference, err error) {
 	defer guard.Capture(&err)
 	if man == nil {
 		return nil, fmt.Errorf("core: nil manifest")
@@ -381,7 +388,7 @@ func Infer(man *media.Manifest, tr *capture.Trace, p Params) (inf *Inference, er
 		testHookInfer()
 	}
 	stop := p.stageStart("estimate")
-	est, err := Estimate(tr, p)
+	est, err := s.Estimate(tr, p)
 	stageStop(stop)
 	if err != nil {
 		return nil, err

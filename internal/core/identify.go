@@ -89,7 +89,7 @@ type noMuxGraph struct {
 }
 
 func buildNoMuxGraph(man *media.Manifest, reqs []Request, p Params) *noMuxGraph {
-	vIdx := media.NewSizeIndex(man, media.Video)
+	vIdx := man.VideoIndex()
 	disp := displayConstraint(p.Display)
 	// Audio candidates are matched per track in manifest order so the
 	// layer's candidate list (and everything enumerated from it) is

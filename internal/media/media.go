@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"csi/internal/stats"
 )
@@ -100,6 +101,14 @@ type Manifest struct {
 	Host     string  `json:"host"`      // media server hostname (SNI)
 	ChunkDur float64 `json:"chunk_dur"` // seconds of content per chunk
 	Tracks   []Track `json:"tracks"`
+
+	// videoIdx memoizes VideoIndex. A manifest is mutated only while it is
+	// built (encoded, parsed or decoded), so the index is built once, on
+	// first use, and shared read-only by every later inference.
+	videoIdx struct {
+		once sync.Once
+		idx  *SizeIndex
+	}
 }
 
 // Validate checks structural invariants: at least one video track, equal
@@ -254,6 +263,13 @@ func NewSizeIndex(m *Manifest, kind Type) *SizeIndex {
 	}
 	idx.sizes, idx.refs = ss, rr
 	return idx
+}
+
+// VideoIndex returns the manifest's video SizeIndex, built on first use and
+// shared afterwards; callers must not modify the manifest once they use it.
+func (m *Manifest) VideoIndex() *SizeIndex {
+	m.videoIdx.once.Do(func() { m.videoIdx.idx = NewSizeIndex(m, Video) })
+	return m.videoIdx.idx
 }
 
 // Len returns the number of chunks in the index.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -108,7 +110,7 @@ func TestValidateCatchesBadManifests(t *testing.T) {
 		},
 	}
 	for name, corrupt := range cases {
-		cp := *good
+		cp := Manifest{Name: good.Name, Host: good.Host, ChunkDur: good.ChunkDur}
 		cp.Tracks = make([]Track, len(good.Tracks))
 		copy(cp.Tracks, good.Tracks)
 		for i := range cp.Tracks {
@@ -140,6 +142,32 @@ func TestSizeIndexRange(t *testing.T) {
 			if !found {
 				t.Fatalf("chunk (%d,%d) size %d not found by exact range", ti, ci, s)
 			}
+		}
+	}
+}
+
+// VideoIndex is NewSizeIndex built once: equal to a fresh index on every
+// test manifest, and one shared pointer across concurrent first callers.
+func TestVideoIndexCached(t *testing.T) {
+	for _, audio := range []int{0, 1} {
+		m := testEncode(t, 1.5, audio)
+		var wg sync.WaitGroup
+		got := make([]*SizeIndex, 8)
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = m.VideoIndex()
+			}(i)
+		}
+		wg.Wait()
+		for i := range got {
+			if got[i] != got[0] {
+				t.Fatalf("audio %d: caller %d got a different index", audio, i)
+			}
+		}
+		if want := NewSizeIndex(m, Video); !reflect.DeepEqual(got[0], want) {
+			t.Fatalf("audio %d: cached index differs from NewSizeIndex", audio)
 		}
 	}
 }

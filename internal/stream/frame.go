@@ -9,12 +9,12 @@
 //
 // Determinism contract: a monitor configured for replay (blocking ingest,
 // no eviction, nil Clock) produces byte-identical results to the batch
-// pipeline (Batch) over the same frame sequence. Each solve is a pure
-// function of its flow's packets so far; the state shared across solves —
-// capture.Trace's ByConn append path and the HalfCache — is exactly the
-// machinery whose warm/cold byte-identity the capture and core packages
-// pin, so mid-flow provisional solves can run at any cadence (or be skipped
-// under load) without changing any final inference.
+// pipeline (Batch) over the same frame sequence. Each solve returns what a
+// fresh solve of its flow's packets so far returns; the state carried
+// across solves — the flow's core.Step1 and the HalfCache — is exactly the
+// machinery whose warm/cold byte-identity the core package pins, so mid-flow
+// provisional solves can run at any cadence (or be skipped under load)
+// without changing any final inference.
 package stream
 
 import (

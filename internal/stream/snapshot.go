@@ -290,7 +290,7 @@ func (m *Monitor) restoreSnapshot(s *Snapshot, frames []Frame, from uint64) {
 	}
 	for _, fsn := range s.Flows {
 		tr := capture.NewTrace()
-		fs := &flowState{name: fsn.Name, trace: tr, tap: tr.Tap(), firstSeq: fsn.FirstSeq, lastSeq: fsn.LastSeq}
+		fs := &flowState{name: fsn.Name, trace: tr, tap: tr.Tap(), step1: core.NewStep1(), firstSeq: fsn.FirstSeq, lastSeq: fsn.LastSeq}
 		m.flows[fsn.Name] = fs
 		m.liveFlows++
 		for _, v := range fsn.Carried {

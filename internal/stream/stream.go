@@ -71,9 +71,10 @@ type Options struct {
 	// ResolveEvery re-solves a flow after this many new packets, keeping a
 	// provisional inference warm for the status page. 0 disables mid-flow
 	// solves (each flow is solved once, at finalization). Provisional
-	// solves never change final results: each solve is a pure function of
-	// the flow's packets so far, and the shared half cache replays its work
-	// byte-identically. Under ShedDrop a flow whose solve is still running
+	// solves never change final results: each solve returns what a fresh
+	// core.Infer of the flow's packets so far returns (the flow's carried
+	// core.Step1 resumes Step 1 exactly), and the shared half cache replays
+	// its work byte-identically. Under ShedDrop a flow whose solve is still running
 	// when its next one falls due is re-solved once that solve completes,
 	// over everything buffered by then, so fewer solves run under load. Under ShedBlock without Params.Mux the control
 	// loop waits for that solve instead, so a flow is solved at exactly
@@ -135,6 +136,10 @@ type flowState struct {
 	name  string
 	trace *capture.Trace
 	tap   func(packet.View, float64)
+	// step1 carries Step 1 across the flow's solves (core.Step1). It is
+	// rebuilt from the trace, never persisted: a recovered flow's first
+	// solve starts it from empty.
+	step1 *core.Step1
 
 	packets  int
 	bytes    int64
@@ -214,9 +219,13 @@ type Monitor struct {
 }
 
 // testHookSolve, when set, runs inside every contained solve before the
-// inference — tests inject panics per flow to exercise quarantine. Never
-// set outside tests.
-var testHookSolve func(flow string)
+// inference — tests inject panics per flow to exercise quarantine.
+// testHookSolved, when set, receives every solve's outcome with the packet
+// count it covered, on the worker goroutine. Never set outside tests.
+var (
+	testHookSolve  func(flow string)
+	testHookSolved func(flow string, packets int, inf *core.Inference, err error)
+)
 
 // New starts a monitor: the control goroutine plus GOMAXPROCS solvers.
 // Callers must end its life with Drain.
@@ -455,7 +464,7 @@ func (m *Monitor) handleFrame(f Frame) {
 			m.evictLRU()
 		}
 		tr := capture.NewTrace()
-		fs = &flowState{name: f.Flow, trace: tr, tap: tr.Tap(), firstSeq: m.seq}
+		fs = &flowState{name: f.Flow, trace: tr, tap: tr.Tap(), step1: core.NewStep1(), firstSeq: m.seq}
 		m.flows[f.Flow] = fs
 		m.liveFlows++
 		m.gActive.Set(float64(m.liveFlows))
@@ -727,13 +736,16 @@ func (m *Monitor) solve(name string) solveDone {
 		if testHookSolve != nil {
 			testHookSolve(name)
 		}
-		inf, err := core.Infer(m.man, fs.trace, p)
+		inf, err := fs.step1.Infer(m.man, fs.trace, p)
 		if err != nil {
 			return err
 		}
 		d.inf = inf
 		return nil
 	})
+	if testHookSolved != nil {
+		testHookSolved(name, len(fs.trace.Packets), d.inf, d.err)
+	}
 	return d
 }
 

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"csi/internal/core"
 	"csi/internal/experiments"
 	"csi/internal/faults"
+	"csi/internal/guard"
 	"csi/internal/media"
 	"csi/internal/media/mediatest"
 	"csi/internal/netem"
@@ -84,17 +86,26 @@ func marshalResults(t *testing.T, results []Result) []byte {
 // TestReplayMatchesBatch pins the tentpole determinism gate: a monitor in
 // replay configuration — incremental solves every 40 packets, shared half
 // cache, worker pool racing against ingest — must serialize byte-identically
-// to the plain offline batch pipeline over the same frame stream. With a
-// small work budget every solve gets a fresh guard, so the final solve must
+// to the plain offline batch pipeline over the same frame stream. Delta is a
+// CQ flow, so the carried QUIC walk is held to the same gate. With a small
+// work budget every solve gets a fresh guard, so the final solve must
 // truncate exactly where the batch solve of the same flow does: 30000 steps
-// stop beta and gamma partway through Step 1 and leave alpha whole.
+// stop beta and gamma partway through Step 1 and leave alpha and delta
+// whole.
 func TestReplayMatchesBatch(t *testing.T) {
 	testleak.Check(t)
 	man := testManifest(t, session.SH)
+	// CQ streams the ladder's video tracks alone; the monitor matches the
+	// flow against the full ladder like every other flow.
+	video := &media.Manifest{Name: man.Name, Host: man.Host, ChunkDur: man.ChunkDur}
+	for _, ti := range man.VideoTracks() {
+		video.Tracks = append(video.Tracks, man.Tracks[ti])
+	}
 	runs := map[string]*capture.Trace{
 		"alpha": testSession(t, man, session.SH, 41, 90),
 		"beta":  testSession(t, man, session.SH, 42, 90),
 		"gamma": testSession(t, man, session.SH, 43, 60),
+		"delta": testSession(t, video, session.CQ, 44, 60),
 	}
 	frames := Pack(runs)
 	for _, budget := range []int64{0, 30000} {
@@ -597,7 +608,9 @@ func TestSolveDeadline(t *testing.T) {
 // TestStreamFaultParity runs the shared fault specs through the streaming
 // path and asserts each level's degradation equals the batch pipeline's on
 // the same impaired capture — the streaming robustness envelope must not
-// add or mask degradation.
+// add or mask degradation. Every provisional solve must also equal a fresh
+// core.Infer of the same prefix, so carried state that is wrong mid-flow
+// cannot hide behind a final solve that happens to heal it.
 func TestStreamFaultParity(t *testing.T) {
 	man := testManifest(t, session.SH)
 	res, err := session.Run(session.Config{
@@ -622,10 +635,46 @@ func TestStreamFaultParity(t *testing.T) {
 			frames := Pack(map[string]*capture.Trace{"f": run.Trace})
 			opts := replayOpts(man, false)
 			opts.ResolveEvery = 75
+			type solved struct {
+				packets int
+				result  []byte
+			}
+			var mu sync.Mutex
+			var solves []solved
+			render := func(n int, inf *core.Inference, err error) []byte {
+				b, jerr := json.Marshal(NewResult("f", "", n, inf, err, nil, man))
+				if jerr != nil {
+					panic(jerr)
+				}
+				return b
+			}
+			testHookSolved = func(flow string, n int, inf *core.Inference, err error) {
+				r := render(n, inf, err)
+				mu.Lock()
+				solves = append(solves, solved{n, r})
+				mu.Unlock()
+			}
+			defer func() { testHookSolved = nil }()
 			got := marshalResults(t, replayThrough(t, frames, opts))
 			want := marshalResults(t, Batch(frames, replayOpts(man, false)))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("fault level %s: streaming result diverged from batch:\nstream:\n%s\nbatch:\n%s", lvl.Name, got, want)
+			}
+			if len(solves) < len(run.Trace.Packets)/opts.ResolveEvery {
+				t.Fatalf("fault level %s: %d solves over %d packets", lvl.Name, len(solves), len(run.Trace.Packets))
+			}
+			for _, s := range solves {
+				tr := capture.NewTrace()
+				tap := tr.Tap()
+				for _, v := range run.Trace.Packets[:s.packets] {
+					tap(v, v.Time)
+				}
+				p := opts.Params
+				p.Guard = guard.New(opts.WorkBudget)
+				inf, err := core.Infer(man, tr, p)
+				if fresh := render(s.packets, inf, err); !bytes.Equal(s.result, fresh) {
+					t.Fatalf("fault level %s: the solve at %d packets diverged from a fresh solve of that prefix:\nsolve: %s\nfresh: %s", lvl.Name, s.packets, s.result, fresh)
+				}
 			}
 		})
 	}

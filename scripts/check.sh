@@ -26,7 +26,8 @@
 #  15. monitor eviction smoke      a one-slot flow table evicts with a warning
 #  16. crash-recovery matrix       kill at each crashpoint, recover, cmp to the
 #                                  uninterrupted replay
-#  17. fuzz smokes                 WAL salvage, stream ingest, frame codec
+#  17. fuzz smokes                 WAL salvage, stream ingest, frame codec,
+#                                  incremental Step 1
 #  18. bounded inference smoke     a one-step work budget yields a partial result
 #  19. degradation sweep smoke     TestFaultSweepSmoke
 #
@@ -267,6 +268,13 @@ echo "== frame codec fuzz smoke"
 # every frame it decodes must re-encode to json.Marshal's bytes.
 go test -run='^$' -fuzz='^FuzzFrameCodec$' -fuzztime=5s -fuzzminimizetime=10s \
     ./internal/stream > /dev/null
+
+echo "== incremental Step 1 fuzz smoke"
+# A packet sequence split into solves at arbitrary points: the Step 1 state
+# carried across the solves must give exactly the Estimation of a fresh
+# Estimate of each prefix (DESIGN.md §12).
+go test -run='^$' -fuzz='^FuzzIncrementalEstimate$' -fuzztime=5s -fuzzminimizetime=10s \
+    ./internal/core > /dev/null
 
 echo "== bounded inference smoke (tiny work budget)"
 # A one-step work budget must truncate the inference into a *partial*
