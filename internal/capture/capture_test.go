@@ -80,9 +80,21 @@ func TestFallbackConnIDsByVolume(t *testing.T) {
 	if ids := tr.ConnIDs("media.example.com"); len(ids) != 0 {
 		t.Fatalf("SNI/DNS matching should find nothing, got %v", ids)
 	}
-	ids := tr.FallbackConnIDs("media.example.com")
+	down := map[int]int64{}
+	for _, v := range tr.Packets {
+		if v.Dir == packet.Down {
+			down[v.ConnID] += v.Size
+		}
+	}
+	ids := tr.FallbackConnIDs(down, "media.example.com")
 	if len(ids) != 1 || ids[0] != 3 {
 		t.Fatalf("fallback ids = %v, want [3]", ids)
+	}
+	// Connection 0 (unattributed packets) is never selected, and does not
+	// set the busiest volume the 5% floor derives from.
+	down[0] = 400 << 20
+	if ids := tr.FallbackConnIDs(down, "media.example.com"); len(ids) != 1 || ids[0] != 3 {
+		t.Fatalf("fallback ids with a busy conn 0 = %v, want [3]", ids)
 	}
 }
 
