@@ -69,6 +69,13 @@ func (t *Trace) Tap() func(v packet.View, now float64) {
 				t.ServerIP[v.ConnID] = v.ServerIP
 			}
 		}
+		if len(t.Packets) == cap(t.Packets) {
+			// Double rather than take append's 1.25× growth for large
+			// slices, which copies a long trace about five times over.
+			grown := make([]packet.View, len(t.Packets), max(1024, 2*cap(t.Packets)))
+			copy(grown, t.Packets)
+			t.Packets = grown
+		}
 		t.Packets = append(t.Packets, v)
 	}
 }

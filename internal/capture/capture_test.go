@@ -2,7 +2,11 @@ package capture
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"math/bits"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"csi/internal/media"
@@ -351,5 +355,76 @@ func TestByConnAppendDoesNotAlias(t *testing.T) {
 	}
 	if got := tr.ByConn()[2][1].Size; got != 223 {
 		t.Fatalf("incremental growth clobbered neighboring connection: size %d, want 223", got)
+	}
+}
+
+// tapPacket is the i-th packet of a synthetic capture that exercises every
+// Tap side table: SNI on some connections' first packets, DNS answers and
+// server addresses, repeated and conflicting values included.
+func tapPacket(i int) packet.View {
+	v := packet.View{Time: float64(i) / 100, Dir: packet.Dir(i % 2), ConnID: i % 7, Size: int64(60 + i%1400)}
+	switch i % 11 {
+	case 0:
+		v.SNI = fmt.Sprintf("h%d.example.com", i%5)
+	case 3:
+		v.DNSQuery, v.DNSAnswerIP = fmt.Sprintf("q%d.example.com", i%3), fmt.Sprintf("10.0.0.%d", i%4)
+	case 5:
+		v.ServerIP = fmt.Sprintf("10.0.1.%d", i%6)
+	}
+	return v
+}
+
+// TestTapMatchesAppend checks that Tap's own slice growth leaves exactly
+// what appending each packet and filling the side tables by hand would.
+func TestTapMatchesAppend(t *testing.T) {
+	for _, n := range []int{0, 1, 1023, 1024, 1025, 5000} {
+		tr := NewTrace()
+		tap := tr.Tap()
+		want := NewTrace()
+		for i := 0; i < n; i++ {
+			v := tapPacket(i)
+			tap(v, v.Time)
+			want.Packets = append(want.Packets, v)
+			if _, ok := want.SNI[v.ConnID]; !ok && v.SNI != "" {
+				want.SNI[v.ConnID] = v.SNI
+			}
+			if v.DNSQuery != "" && v.DNSAnswerIP != "" {
+				want.DNS[v.DNSAnswerIP] = v.DNSQuery
+			}
+			if _, ok := want.ServerIP[v.ConnID]; !ok && v.ServerIP != "" {
+				want.ServerIP[v.ConnID] = v.ServerIP
+			}
+		}
+		if !slices.Equal(tr.Packets, want.Packets) || !maps.Equal(tr.SNI, want.SNI) ||
+			!maps.Equal(tr.DNS, want.DNS) || !maps.Equal(tr.ServerIP, want.ServerIP) {
+			t.Fatalf("n=%d: Tap left %d packets, SNI %v, DNS %v, ServerIP %v; want %d packets, SNI %v, DNS %v, ServerIP %v",
+				n, len(tr.Packets), tr.SNI, tr.DNS, tr.ServerIP, len(want.Packets), want.SNI, want.DNS, want.ServerIP)
+		}
+	}
+}
+
+// TestTapGrowthAllocs pins geometric growth: tapping n packets into a
+// fresh trace reallocates Packets O(log n) times, so each packet is copied
+// a bounded number of times however long the capture runs.
+func TestTapGrowthAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	v := packet.View{Dir: packet.Down, ConnID: 1, Size: 1500}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			tap := NewTrace().Tap()
+			for i := 0; i < n; i++ {
+				tap(v, 0)
+			}
+		})
+	}
+	base := allocs(1) // the trace, its maps, the closure and the first block
+	for _, n := range []int{1 << 10, 1 << 14, 1 << 18} {
+		// Doubling from 1024 reaches n after log2(n/1024) more blocks.
+		limit := base + float64(bits.Len(uint(n/1024)))
+		if got := allocs(n); got > limit {
+			t.Fatalf("tapping %d packets allocated %.0f times, want at most %.0f", n, got, limit)
+		}
 	}
 }

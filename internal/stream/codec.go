@@ -296,8 +296,34 @@ func (s *frameScanner) float() float64 {
 }
 
 // int64 consumes an integer the way encoding/json stores one:
-// strconv.ParseInt of the literal, base 10.
+// strconv.ParseInt of the literal, base 10. An optional '-' and then either
+// a lone 0 or 1 to 18 digits without a leading zero, followed by neither a
+// digit nor '.', 'e' or 'E', is accumulated in place: it cannot overflow,
+// and it is exactly the value ParseInt returns. Anything else takes the
+// general number path.
 func (s *frameScanner) int64() int64 {
+	if !s.ok {
+		return 0
+	}
+	b, i := s.b, s.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var n int64
+	for i < len(b) && i-start < 18 && isDigit(b[i]) {
+		n = n*10 + int64(b[i]-'0')
+		i++
+	}
+	if d := i - start; d > 0 && (d == 1 || b[start] != '0') &&
+		(i == len(b) || !isDigit(b[i]) && b[i] != '.' && b[i] != 'e' && b[i] != 'E') {
+		s.i = i
+		if neg {
+			return -n
+		}
+		return n
+	}
 	num := s.number()
 	if !s.ok {
 		return 0

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -126,6 +127,11 @@ func TestFrameCodecTable(t *testing.T) {
 		"empty":            "",
 		"not an object":    `[1]`,
 	}
+	for _, field := range intFields {
+		for _, num := range intEdges {
+			decodeCases["int edge/"+field+"="+num] = withInt(line, field, num)
+		}
+	}
 	prior := Frame{Flow: "a", Close: true, Packet: packet.View{Time: 9, SNI: "old", ServerIP: "10.0.0.1"}}
 	for name, in := range decodeCases {
 		t.Run("decode/"+name, func(t *testing.T) {
@@ -133,6 +139,34 @@ func TestFrameCodecTable(t *testing.T) {
 			checkDecode(t, []byte(in), prior)
 		})
 	}
+}
+
+// intFields are the frame's integer keys; intEdges are the literals at the
+// edges of the decoder's in-place integer path: signs, zeros, the 18-digit
+// limit, the int64 range, and forms only the general number path decides.
+var (
+	intFields = []string{"Dir", "Proto", "ConnID", "Size", "TCPSeq", "TCPPayload",
+		"TLSAppBytes", "TLSHSBytes", "QUICPN", "QUICPayload"}
+	intEdges = []string{
+		"0", "-0", "7", "-7",
+		"123456789012345678", "-123456789012345678", "999999999999999999", // 18 digits
+		"1234567890123456789", "-1234567890123456789", // 19 digits
+		"9223372036854775807", "-9223372036854775807", "-9223372036854775808",
+		"9223372036854775808", "-9223372036854775809", "12345678901234567890123",
+		"00", "01", "-01", "007", "0001234567890123456789",
+		"1.0", "0.5", "1e2", "1E+2", "1e-2", "0e0", "-", "-a", "+1", "1a", "1-",
+	}
+	intFieldRe = regexp.MustCompile(`"(` + strings.Join(intFields, "|") + `)":-?[0-9]+`)
+)
+
+// withInt returns line with field's value replaced by the literal num.
+func withInt(line, field, num string) string {
+	return intFieldRe.ReplaceAllStringFunc(line, func(kv string) string {
+		if strings.HasPrefix(kv, `"`+field+`":`) {
+			return `"` + field + `":` + num
+		}
+		return kv
+	})
 }
 
 // randString draws from a mix of plain ASCII and the characters every
@@ -227,15 +261,22 @@ func TestFrameCodecRandom(t *testing.T) {
 	}
 }
 
+const canonicalSeed = `{"flow":"a","packet":{"Time":1.5,"Dir":1,"Proto":0,"ConnID":3,"Size":1350,"SNI":"","ServerIP":"10.0.0.1","DNSQuery":"","DNSAnswerIP":"","TCPSeq":1,"TCPPayload":1300,"TLSAppBytes":1280,"TLSHSBytes":0,"QUICPN":0,"QUICPayload":0,"QUICLong":false}}`
+
 // FuzzFrameCodec checks, for arbitrary bytes, that decodeFrame agrees with
 // json.Unmarshal, and that any frame it decodes re-encodes to
 // json.Marshal's bytes.
 func FuzzFrameCodec(f *testing.F) {
-	f.Add([]byte(`{"flow":"a","packet":{"Time":1.5,"Dir":1,"Proto":0,"ConnID":3,"Size":1350,"SNI":"","ServerIP":"10.0.0.1","DNSQuery":"","DNSAnswerIP":"","TCPSeq":1,"TCPPayload":1300,"TLSAppBytes":1280,"TLSHSBytes":0,"QUICPN":0,"QUICPayload":0,"QUICLong":false}}`))
+	f.Add([]byte(canonicalSeed))
 	f.Add([]byte(`{"flow":"a","close":true,"packet":{"Time":0,"Dir":0,"Proto":0,"ConnID":0,"Size":0,"SNI":"","ServerIP":"","DNSQuery":"","DNSAnswerIP":"","TCPSeq":0,"TCPPayload":0,"TLSAppBytes":0,"TLSHSBytes":0,"QUICPN":0,"QUICPayload":0,"QUICLong":true}}`))
 	f.Add([]byte(`{"flow":"\u003c\u0026","packet":{"Time":1e-7,"Dir":0,"Proto":1,"ConnID":-1,"Size":9223372036854775807,"SNI":"é","ServerIP":"","DNSQuery":"","DNSAnswerIP":"","TCPSeq":0,"TCPPayload":0,"TLSAppBytes":0,"TLSHSBytes":0,"QUICPN":0,"QUICPayload":0,"QUICLong":false}}`))
 	f.Add([]byte(`{"flow":"x","packet":{"time":1,"conn":1,"len":10}}`))
 	f.Add([]byte(`{"flow":"a","close":false,"packet":null}`))
+	for _, field := range intFields {
+		for _, num := range intEdges {
+			f.Add([]byte(withInt(canonicalSeed, field, num)))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data, Frame{})
 		var fr Frame
@@ -247,25 +288,33 @@ func FuzzFrameCodec(f *testing.F) {
 
 // TestFrameCodecFastPathAllocs pins that canonical frames take the direct
 // path: decoding a frame whose strings repeat the previous frame's, and
-// encoding into a buffer with room, allocate nothing.
+// encoding into a buffer with room, allocate nothing — with single-digit,
+// multi-digit, 18-digit and negative integers alike.
 func TestFrameCodecFastPathAllocs(t *testing.T) {
-	f := Frame{Flow: "flow-1", Packet: packet.View{Time: 12.25, Dir: packet.Down, ConnID: 2, Size: 1500,
-		ServerIP: "10.0.0.2", TCPSeq: 1 << 20, TCPPayload: 1448, TLSAppBytes: 1420}}
-	line, err := json.Marshal(&f)
-	if err != nil {
-		t.Fatal(err)
+	frames := []Frame{
+		{Flow: "flow-1", Packet: packet.View{Time: 12.25, Dir: packet.Down, ConnID: 2, Size: 1500,
+			ServerIP: "10.0.0.2", TCPSeq: 1 << 20, TCPPayload: 1448, TLSAppBytes: 1420}},
+		{Flow: "flow-2", Packet: packet.View{Time: 0.5, Dir: -1, Proto: -3, ConnID: -42, Size: -1500,
+			TCPSeq: -123456789012345678, TCPPayload: 999999999999999999, TLSAppBytes: -7,
+			TLSHSBytes: 100000, QUICPN: 123456789, QUICPayload: -1, QUICLong: true}},
 	}
 	buf := make([]byte, 0, 512)
-	allocs := testing.AllocsPerRun(100, func() {
-		g := f
-		if err := decodeFrame(line, &g); err != nil {
+	for _, f := range frames {
+		line, err := json.Marshal(&f)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if buf, err = appendFrame(buf[:0], &g); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(100, func() {
+			g := f
+			if err := decodeFrame(line, &g); err != nil {
+				t.Fatal(err)
+			}
+			if buf, err = appendFrame(buf[:0], &g); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("canonical decode+encode of %s allocated %.1f times, want 0", line, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("canonical decode+encode allocated %.1f times, want 0", allocs)
 	}
 }

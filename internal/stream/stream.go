@@ -186,6 +186,9 @@ type Monitor struct {
 	wg      sync.WaitGroup
 
 	stopped atomic.Bool // set once by Drain; Ingest refuses afterwards
+	// ingestMu is read-held by every Ingest from its stopped check through
+	// its send; beginDrain write-locks it once before sweeping the ring.
+	ingestMu sync.RWMutex
 
 	// mu guards the maps and slices also read from other goroutines
 	// (workers' flow lookup, Status, Drain's result pickup). The control
@@ -221,10 +224,12 @@ type Monitor struct {
 // testHookSolve, when set, runs inside every contained solve before the
 // inference — tests inject panics per flow to exercise quarantine.
 // testHookSolved, when set, receives every solve's outcome with the packet
-// count it covered, on the worker goroutine. Never set outside tests.
+// count it covered, on the worker goroutine. testHookIngest, when set, runs
+// in Ingest between its stopped check and its send. Never set outside tests.
 var (
 	testHookSolve  func(flow string)
 	testHookSolved func(flow string, packets int, inf *core.Inference, err error)
+	testHookIngest func()
 )
 
 // New starts a monitor: the control goroutine plus GOMAXPROCS solvers.
@@ -279,10 +284,27 @@ func (m *Monitor) start() {
 // Ingest offers one frame to the monitor. Under ShedDrop a full ring sheds
 // the frame (counted in stream.shed_total) and returns false; under
 // ShedBlock it blocks until the control loop catches up. Returns false
-// without ingesting once Drain has begun.
+// without ingesting once Drain has begun; a frame for which it returns
+// true is always processed.
 func (m *Monitor) Ingest(f Frame) bool {
+	// The read lock spans the stopped check and the send: beginDrain takes
+	// the write lock before it sweeps the ring, so no accepted frame can
+	// land in the ring after the sweep. The one wait under it is the
+	// ShedBlock select below, which drainCh ends: Drain closes drainCh
+	// before the control loop can reach beginDrain.
+	m.ingestMu.RLock()
+	defer m.ingestMu.RUnlock()
 	if m.stopped.Load() {
 		return false
+	}
+	if testHookIngest != nil {
+		testHookIngest()
+	}
+	//csi-vet:ignore taint -- non-blocking send: under ShedBlock a full ring falls through to the blocking send below, which gives the frame the same place in the ring FIFO; under ShedDrop a full ring sheds by design (live mode), and replay uses ShedBlock, so no replayed result depends on which arm fires
+	select {
+	case m.ring <- f:
+		return true
+	default:
 	}
 	if m.opts.ShedPolicy == ShedBlock {
 		//csi-vet:ignore taint -- back-pressure select: either arm enqueues-or-drops a frame whose processing order is fixed by the ring FIFO, not by which case fires
@@ -293,14 +315,8 @@ func (m *Monitor) Ingest(f Frame) bool {
 			return false
 		}
 	}
-	//csi-vet:ignore taint -- shed select: a full ring drops the newest frame by design (live mode); replay uses ShedBlock so no result depends on this race
-	select {
-	case m.ring <- f:
-		return true
-	default:
-		m.cShed.Inc()
-		return false
-	}
+	m.cShed.Inc() // ShedDrop: the newest frame goes
+	return false
 }
 
 // Drain stops ingestion, processes every frame still buffered in the ring,
@@ -370,6 +386,12 @@ func (m *Monitor) Status() any {
 	}
 }
 
+// frameBatch bounds the frames the control loop takes from the ring per
+// pass of its select: after a frame arrives it takes up to frameBatch-1
+// more without waiting, then returns to the select, so solve completions
+// are still serviced when the ring never empties.
+const frameBatch = 256
+
 // run is the control goroutine: sole owner of the flow table and of every
 // finalization decision.
 func (m *Monitor) run() {
@@ -378,7 +400,18 @@ func (m *Monitor) run() {
 		//csi-vet:ignore taint -- control select: frame handling and solve completions commute (a solving flow's trace is frozen; arrivals buffer in pending), and results commit strictly in finalization-sequence order, so the firing order never reaches an output
 		select {
 		case f := <-ring:
-			m.handleFrame(f)
+			for n := 1; ; n++ {
+				m.handleFrame(f)
+				if n == frameBatch {
+					break
+				}
+				m.dispatch()
+				m.maybeSnapshot()
+				var ok bool
+				if f, ok = m.takeFrame(); !ok {
+					break
+				}
+			}
 		case d := <-m.ctrl:
 			m.handleDone(d)
 		case <-drain:
@@ -395,6 +428,18 @@ func (m *Monitor) run() {
 	}
 }
 
+// takeFrame receives the next buffered frame without waiting; ok is false
+// when the ring is empty.
+func (m *Monitor) takeFrame() (f Frame, ok bool) {
+	//csi-vet:ignore taint -- non-blocking receive: frames leave the ring in FIFO order whichever arm fires; an empty ring only ends a batch early (the control select then takes the same frames, or a completion that commutes with them) or ends the drain sweep, after which Ingest accepts nothing
+	select {
+	case f = <-m.ring:
+		return f, true
+	default:
+		return f, false
+	}
+}
+
 func (m *Monitor) flowCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -405,15 +450,13 @@ func (m *Monitor) flowCount() int {
 // processed — replay depends on it), then finalizes every remaining flow in
 // sorted name order.
 func (m *Monitor) beginDrain() {
-	for {
-		//csi-vet:ignore taint -- drain sweep: Ingest is already refusing frames, so the ring can only shrink; the default arm just detects empty
-		select {
-		case f := <-m.ring:
-			m.handleFrame(f)
-			continue
-		default:
-		}
-		break
+	// A barrier, not a critical section: wait out every Ingest that passed
+	// its stopped check before Drain set it. Later calls refuse, so after
+	// this the ring can only shrink.
+	m.ingestMu.Lock()
+	m.ingestMu.Unlock()
+	for f, ok := m.takeFrame(); ok; f, ok = m.takeFrame() {
+		m.handleFrame(f)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -671,7 +714,8 @@ func (m *Monitor) handleDone(d solveDone) {
 	for _, v := range fs.pending {
 		fs.tap(v, v.Time)
 	}
-	fs.pending = nil
+	clear(fs.pending) // drop the strings; keep the backing array for the next solve
+	fs.pending = fs.pending[:0]
 	if fs.finalizing {
 		m.schedule(fs, true)
 		return
