@@ -1,6 +1,6 @@
 # Developer entry points. `make check` is the single pre-merge gate.
 
-.PHONY: check build test vet race bench
+.PHONY: check build test vet race bench loc
 
 check:
 	./scripts/check.sh
@@ -23,3 +23,8 @@ race:
 bench:
 	python3 perfbench/run.py --workload monitor-replay --seed 1 --seconds 30 --trace 0
 	python3 perfbench/run.py --workload monitor-durable --seed 1 --seconds 30 --trace 0
+
+# Go source lines per package, production and test apart (scripts/loc.sh),
+# so changes report their LOC the same way.
+loc:
+	./scripts/loc.sh

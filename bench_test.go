@@ -196,9 +196,10 @@ func setupInferFixture(b *testing.B, d session.Design) inferFixture {
 	}
 }
 
-// coldTrace returns a new Trace over t's packets with an empty ByConn
-// memo, so each iteration splits the capture by connection as a freshly
-// received session does instead of reusing the previous iteration's split.
+// coldTrace returns a new Trace over t's packets, so each iteration infers
+// over a trace no earlier iteration touched, as a freshly received session
+// is. A Trace holds no derived state today; this keeps the benchmarks cold
+// should one ever gain a cache.
 func coldTrace(t *capture.Trace) *capture.Trace {
 	return &capture.Trace{Packets: t.Packets, SNI: t.SNI, DNS: t.DNS, ServerIP: t.ServerIP}
 }

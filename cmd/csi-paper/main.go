@@ -25,7 +25,61 @@ import (
 	"csi/internal/session"
 )
 
+// driver runs one experiment at the given scale.
+type driver func(experiments.Scale) (*experiments.Table, error)
+
+// table4 and faults bind the design subset of a per-design driver.
+func table4(designs ...session.Design) driver {
+	return func(sc experiments.Scale) (*experiments.Table, error) {
+		return experiments.Table4(sc, designs...)
+	}
+}
+
+func faults(designs ...session.Design) driver {
+	return func(sc experiments.Scale) (*experiments.Table, error) {
+		return experiments.FaultSweep(sc, nil, designs...)
+	}
+}
+
+// drivers maps every experiment name the command line accepts to its
+// driver.
+var drivers = map[string]driver{
+	"prop1":     experiments.Prop1,
+	"fig4":      func(experiments.Scale) (*experiments.Table, error) { return experiments.Fig4() },
+	"fig5":      experiments.Fig5,
+	"table3":    experiments.Table3,
+	"table4":    table4(),
+	"table4-ch": table4(session.CH),
+	"table4-sh": table4(session.SH),
+	"table4-cq": table4(session.CQ),
+	"table4-sq": table4(session.SQ),
+	"groups":    experiments.Groups,
+	"fig10":     experiments.Fig10,
+	"fig11":     experiments.Fig11,
+	"hulu":      experiments.HuluBasics,
+	"ablations": experiments.Ablations,
+	"baseline":  experiments.Baseline,
+	"timing":    experiments.Timing,
+	// The degradation sweep is not part of "all": it replays every session
+	// once per impairment level, which multiplies runtime.
+	"faults":    faults(),
+	"faults-sh": faults(session.SH),
+	"faults-sq": faults(session.SQ),
+}
+
+// all is what "all" (or no name) runs, in order.
+var all = []string{"prop1", "fig4", "fig5", "table3", "table4", "groups", "fig10", "fig11", "hulu", "ablations", "baseline", "timing"}
+
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "csi-paper:", err)
+		os.Exit(1)
+	}
+}
+
+// run does the work of main and returns its first error, so the deferred
+// profile flush and ops-plane shutdown run on every exit path.
+func run() error {
 	scale := flag.String("scale", "quick", "experiment scale: quick or full")
 	traceOut := flag.String("trace-out", "", "write an execution trace of the experiments (.jsonl = JSONL events, else Chrome trace format); runs execute concurrently, so record order is not deterministic")
 	metrics := flag.String("metrics", "", "write an aggregate text metrics dump to this path (\"-\" = stdout)")
@@ -34,20 +88,38 @@ func main() {
 	cacheMB := flag.Int64("half-cache-mb", 0, "share MUX half enumerations across the sweep's inferences through a process-wide cache of this many MiB (0 = disabled; never changes results)")
 	budget := flag.Int64("work-budget", 0, "deterministic per-run inference step budget; exhausted runs degrade to partial inferences (0 = unbounded)")
 	deadline := flag.Float64("deadline", 0, "wall-clock deadline per run in seconds; a liveness backstop, not deterministic (0 = none)")
-	retries := flag.Int("retries", 0, "re-attempts per failed run (panics and cancellations are never retried)")
-	quarantine := flag.Int("quarantine-after", 0, "skip a run after this many consecutive failures (0 = disabled)")
 	serve := flag.String("serve", "", "serve the live ops plane (/metrics, /statusz, /events, pprof) on this address, e.g. 127.0.0.1:8080; port 0 binds a free port")
 	serveAddrFile := flag.String("serve-addr-file", "", "write the bound -serve address to this file (for scripts using port 0)")
 	flag.Parse()
+
+	// Check every name before the first (possibly minutes-long) run.
+	names := flag.Args()
+	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
+		names = all
+	}
+	for _, name := range names {
+		if drivers[name] == nil {
+			return fmt.Errorf("unknown experiment %s", name)
+		}
+	}
+	var sc experiments.Scale
+	switch *scale {
+	case "quick":
+		sc = experiments.Quick
+	case "full":
+		sc = experiments.Full
+	default:
+		return fmt.Errorf("unknown scale %s", *scale)
+	}
+
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "csi-paper:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "csi-paper:", err)
-			os.Exit(1)
+			f.Close()
+			return err
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -70,16 +142,6 @@ func main() {
 			}
 		}()
 	}
-	var sc experiments.Scale
-	switch *scale {
-	case "quick":
-		sc = experiments.Quick
-	case "full":
-		sc = experiments.Full
-	default:
-		fmt.Fprintln(os.Stderr, "csi-paper: unknown scale", *scale)
-		os.Exit(1)
-	}
 	var sink *obs.Collector
 	if *traceOut != "" || *metrics != "" {
 		sink = obs.NewCollector()
@@ -98,8 +160,6 @@ func main() {
 	}
 	sc.WorkBudget = *budget
 	sc.DeadlineSec = *deadline
-	sc.Retries = *retries
-	sc.QuarantineAfter = *quarantine
 	sc.HalfCache = core.NewHalfCache(*cacheMB << 20)
 
 	// -serve: start the live ops plane. It only ever reads snapshots of the
@@ -115,8 +175,7 @@ func main() {
 			Extra: []*obs.Registry{sc.HalfCache.Registry()},
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "csi-paper:", err)
-			os.Exit(1)
+			return err
 		}
 		defer func() {
 			if err := srv.Shutdown(2 * time.Second); err != nil {
@@ -124,10 +183,7 @@ func main() {
 			}
 		}()
 		srv.SetStatus("guard", func() any {
-			return map[string]any{
-				"work_budget": *budget, "deadline_sec": *deadline,
-				"retries": *retries, "quarantine_after": *quarantine,
-			}
+			return map[string]any{"work_budget": *budget, "deadline_sec": *deadline}
 		})
 		srv.SetStatus("run", func() any {
 			doc := map[string]any{"scale": *scale}
@@ -139,8 +195,7 @@ func main() {
 		sc.Stages = srv.StageTimer()
 		if *serveAddrFile != "" {
 			if err := os.WriteFile(*serveAddrFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "csi-paper:", err)
-				os.Exit(1)
+				return err
 			}
 		}
 		fmt.Fprintln(os.Stderr, "csi-paper: ops plane on http://"+srv.Addr())
@@ -161,77 +216,25 @@ func main() {
 		signal.Stop(sigC)
 	}()
 
-	names := flag.Args()
-	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
-		names = []string{"prop1", "fig4", "fig5", "table3", "table4", "groups", "fig10", "fig11", "hulu", "ablations", "baseline", "timing"}
-	}
 	for _, name := range names {
 		current.Store("experiment", name)
 		start := time.Now()
-		var tab *experiments.Table
-		var err error
-		switch name {
-		case "prop1":
-			tab, err = experiments.Prop1(sc)
-		case "fig4":
-			tab, err = experiments.Fig4()
-		case "fig5":
-			tab, err = experiments.Fig5(sc)
-		case "table3":
-			tab, err = experiments.Table3(sc)
-		case "table4":
-			tab, err = experiments.Table4(sc)
-		case "table4-ch":
-			tab, err = experiments.Table4(sc, session.CH)
-		case "table4-sh":
-			tab, err = experiments.Table4(sc, session.SH)
-		case "table4-cq":
-			tab, err = experiments.Table4(sc, session.CQ)
-		case "table4-sq":
-			tab, err = experiments.Table4(sc, session.SQ)
-		case "groups":
-			tab, err = experiments.Groups(sc)
-		case "fig10":
-			tab, err = experiments.Fig10(sc)
-		case "fig11":
-			tab, err = experiments.Fig11(sc)
-		case "hulu":
-			tab, err = experiments.HuluBasics(sc)
-		case "ablations":
-			tab, err = experiments.Ablations(sc)
-		case "baseline":
-			tab, err = experiments.Baseline(sc)
-		case "timing":
-			tab, err = experiments.Timing(sc)
-		case "faults":
-			// The degradation sweep is not part of "all": it replays every
-			// session once per impairment level, which multiplies runtime.
-			tab, err = experiments.FaultSweep(sc, nil)
-		case "faults-sh":
-			tab, err = experiments.FaultSweep(sc, nil, session.SH)
-		case "faults-sq":
-			tab, err = experiments.FaultSweep(sc, nil, session.SQ)
-		default:
-			fmt.Fprintln(os.Stderr, "csi-paper: unknown experiment", name)
-			os.Exit(1)
-		}
+		tab, err := drivers[name](sc)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "csi-paper: %s: %v\n", name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		fmt.Println(tab.String())
 		fmt.Printf("[%s completed in %.1fs]\n\n", name, time.Since(start).Seconds())
 	}
 	if *traceOut != "" {
 		if err := obs.WriteTraceFile(*traceOut, sink.Records()); err != nil {
-			fmt.Fprintln(os.Stderr, "csi-paper:", err)
-			os.Exit(1)
+			return err
 		}
 	}
 	if *metrics != "" {
 		if err := obs.WriteMetricsFile(*metrics, sc.Obs.Metrics()); err != nil {
-			fmt.Fprintln(os.Stderr, "csi-paper:", err)
-			os.Exit(1)
+			return err
 		}
 	}
+	return nil
 }

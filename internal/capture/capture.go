@@ -11,7 +11,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 
 	"csi/internal/media"
 	"csi/internal/packet"
@@ -28,23 +27,6 @@ type Trace struct {
 	DNS map[string]string `json:"dns,omitempty"`
 	// ServerIP maps connection id to its server address.
 	ServerIP map[int]string `json:"server_ip,omitempty"`
-
-	// byConn memoizes ByConn. The split is a pure function of Packets, so
-	// it is computed once and shared by every subsequent caller (today the
-	// SQ grouping pass of core.Estimate; the no-MUX path routes
-	// tr.Packets by ConnID itself and never builds this second copy).
-	// byConnLen records the Packets length the memo reflects; packets
-	// tapped after that advance the memo *incrementally* on the next ByConn
-	// call, never a full rebuild.
-	//
-	// byConnBuf is the private per-connection storage and may carry spare
-	// append capacity; byConn holds the full-capacity-clipped views handed
-	// to callers (a stray caller append must reallocate, never spill into
-	// buffered growth room or a neighboring connection).
-	byConnMu  sync.Mutex
-	byConnBuf map[int][]packet.View
-	byConn    map[int][]packet.View
-	byConnLen int
 }
 
 // NewTrace returns an empty trace.
@@ -151,69 +133,15 @@ func (t *Trace) FallbackConnIDs(down map[int]int64, hostSuffix string) []int {
 	return out
 }
 
-// ByConn splits the trace per connection, preserving time order. The result
-// is memoized on the trace: callers receive shared read-only slices and must
-// not mutate them (or append, which would alias trace-internal storage — the
-// slices are handed out at full capacity to make a stray append reallocate
-// instead). Packets tapped since the previous call are folded in
-// incrementally, so a caller alternating Tap batches with ByConn pays
-// O(new packets), not O(trace). The memo holds a second copy of every
-// packet (about 160 B each), so callers that can route Packets by ConnID
-// themselves should. The same map object is updated in place across calls:
-// re-fetch it after tapping rather than retaining a pre-growth copy.
+// ByConn splits the trace per connection, preserving time order. Each call
+// builds a new split holding a copy of every packet; the inference routes
+// Packets by ConnID itself and never calls it.
 func (t *Trace) ByConn() map[int][]packet.View {
-	t.byConnMu.Lock()
-	defer t.byConnMu.Unlock()
-	if t.byConn != nil {
-		if t.byConnLen < len(t.Packets) {
-			t.appendByConn()
-		}
-		return t.byConn
+	m := make(map[int][]packet.View)
+	for _, v := range t.Packets {
+		m[v.ConnID] = append(m[v.ConnID], v)
 	}
-	// First build, two passes: count per connection, then slice one backing
-	// array into per-connection windows (in first-appearance order) and fill
-	// them. This allocates exactly len(Packets) views once, instead of the
-	// doubling churn of per-connection append growth.
-	counts := make(map[int]int)
-	for i := range t.Packets {
-		counts[t.Packets[i].ConnID]++
-	}
-	backing := make([]packet.View, len(t.Packets))
-	buf := make(map[int][]packet.View, len(counts))
-	m := make(map[int][]packet.View, len(counts))
-	off := 0
-	for i := range t.Packets {
-		id := t.Packets[i].ConnID
-		s, ok := buf[id]
-		if !ok {
-			n := counts[id]
-			s = backing[off : off : off+n]
-			off += n
-		}
-		s = append(s, t.Packets[i])
-		buf[id] = s
-		m[id] = s // contiguous windows are born at full capacity
-	}
-	t.byConnBuf = buf
-	t.byConn = m
-	t.byConnLen = len(t.Packets)
 	return m
-}
-
-// appendByConn advances the memo over Packets[byConnLen:]. Growth goes into
-// byConnBuf with ordinary amortized append capacity (the first append to a
-// full-capacity contiguous window reallocates that connection's slice away
-// from the shared backing, so neighbors are never disturbed); the view map
-// is re-clipped to full capacity per touched connection. Caller holds
-// byConnMu.
-func (t *Trace) appendByConn() {
-	for i := t.byConnLen; i < len(t.Packets); i++ {
-		id := t.Packets[i].ConnID
-		buf := append(t.byConnBuf[id], t.Packets[i])
-		t.byConnBuf[id] = buf
-		t.byConn[id] = buf[:len(buf):len(buf)]
-	}
-	t.byConnLen = len(t.Packets)
 }
 
 // TruthRecord is the ground-truth identity of one chunk request, logged by

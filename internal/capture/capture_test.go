@@ -258,76 +258,9 @@ func TestLoadAnySniffsFormat(t *testing.T) {
 	}
 }
 
-// TestByConnMemoized pins the per-trace memo: a second call on an unchanged
-// trace returns the same map with zero allocations, and a Tap append
-// invalidates the memo so the split always reflects every packet.
-func TestByConnMemoized(t *testing.T) {
-	tr := NewTrace()
-	tap := tr.Tap()
-	for i := 0; i < 30; i++ {
-		tap(packet.View{Dir: packet.Down, ConnID: 1 + i%3, Size: 100}, float64(i))
-	}
-	first := tr.ByConn()
-	if !raceEnabled {
-		if avg := testing.AllocsPerRun(50, func() { tr.ByConn() }); avg != 0 {
-			t.Fatalf("memoized ByConn allocates %.1f/op, want 0", avg)
-		}
-	}
-	if got := tr.ByConn(); len(got) != len(first) {
-		t.Fatalf("memoized result changed shape: %d conns, was %d", len(got), len(first))
-	}
-	tap(packet.View{Dir: packet.Down, ConnID: 9, Size: 100}, 99)
-	after := tr.ByConn()
-	if _, ok := after[9]; !ok {
-		t.Fatalf("memo not advanced: appended connection missing from ByConn")
-	}
-}
-
-// TestByConnIncrementalMatchesRebuild pins the streaming-ingest contract:
-// alternating Tap batches with ByConn must always yield exactly the split a
-// cold rebuild of the full trace would produce — same connections, same
-// per-connection packet order — and the incremental path must not stale any
-// connection that grew.
-func TestByConnIncrementalMatchesRebuild(t *testing.T) {
-	tr := NewTrace()
-	tap := tr.Tap()
-	emit := func(n int, base float64) {
-		for i := 0; i < n; i++ {
-			tap(packet.View{Dir: packet.Down, ConnID: 1 + (i % 4), Size: int64(100 + i)}, base+float64(i))
-		}
-	}
-	emit(13, 0)
-	_ = tr.ByConn() // warm the memo mid-stream
-	emit(7, 100)
-	_ = tr.ByConn()
-	emit(29, 200) // grows existing conns and adds new ones
-	tap(packet.View{Dir: packet.Up, ConnID: 77, Size: 60}, 300)
-	got := tr.ByConn()
-
-	cold := NewTrace()
-	cold.Packets = append([]packet.View(nil), tr.Packets...)
-	want := cold.ByConn()
-	if len(got) != len(want) {
-		t.Fatalf("incremental split has %d conns, cold rebuild %d", len(got), len(want))
-	}
-	for id, w := range want {
-		g := got[id]
-		if len(g) != len(w) {
-			t.Fatalf("conn %d: incremental has %d packets, cold rebuild %d", id, len(g), len(w))
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("conn %d packet %d: incremental %+v != rebuild %+v", id, i, g[i], w[i])
-			}
-		}
-	}
-}
-
-// TestByConnAppendDoesNotAlias: the handed-out slices are full-capacity
-// clips; appending to one connection's slice must reallocate, never
-// overwrite a neighboring connection's packets (first build) or the memo's
-// private growth room (incremental advance). A Tap after ByConn must
-// neither alias the handed-out slices nor stale the memo.
+// TestByConnAppendDoesNotAlias: ByConn reflects every packet tapped so
+// far, and appending to a slice it returned disturbs neither the trace nor
+// a later split.
 func TestByConnAppendDoesNotAlias(t *testing.T) {
 	tr := NewTrace()
 	tap := tr.Tap()
@@ -339,22 +272,19 @@ func TestByConnAppendDoesNotAlias(t *testing.T) {
 		t.Fatalf("stray append clobbered neighboring connection: size %d, want 222", got)
 	}
 
-	// Incremental advance: tap more packets into conn 1 so its private
-	// buffer reallocates with spare capacity, then repeat the stray-append
-	// probe against the re-clipped view.
 	tap(packet.View{Dir: packet.Down, ConnID: 1, Size: 112}, 2)
 	tap(packet.View{Dir: packet.Down, ConnID: 2, Size: 223}, 3)
 	m2 := tr.ByConn()
 	if len(m2[1]) != 2 || m2[1][1].Size != 112 {
-		t.Fatalf("memo stale after Tap: conn 1 = %+v", m2[1])
+		t.Fatalf("split stale after Tap: conn 1 = %+v", m2[1])
 	}
-	_ = append(m2[1], packet.View{ConnID: 1, Size: 888}) // stray append into growth room?
+	_ = append(m2[1], packet.View{ConnID: 1, Size: 888}) // stray append
 	tap(packet.View{Dir: packet.Down, ConnID: 1, Size: 113}, 4)
 	if got := tr.ByConn()[1][2].Size; got != 113 {
-		t.Fatalf("stray append leaked into the memo's growth buffer: size %d, want 113", got)
+		t.Fatalf("stray append leaked into a later split: size %d, want 113", got)
 	}
 	if got := tr.ByConn()[2][1].Size; got != 223 {
-		t.Fatalf("incremental growth clobbered neighboring connection: size %d, want 223", got)
+		t.Fatalf("later split lost a neighboring connection's packet: size %d, want 223", got)
 	}
 }
 

@@ -39,6 +39,22 @@ const (
 	KQUIC  = 0.05
 )
 
+// Fixed thresholds of request detection and traffic grouping (§5.3).
+const (
+	// sp2WindowSec: two uplink requests this close are simultaneous (SP2).
+	sp2WindowSec = 0.01
+	// sp2QuietSec is the downlink quiet time an SP2 pair needs: a genuine
+	// "all downloads finished" pair follows a lull, while a retransmitted
+	// request pair lands mid-burst and must not cut a chunk in half.
+	sp2QuietSec = 0.25
+	// requestMinQUICPayload separates QUIC requests from ACKs (§5.3.1).
+	requestMinQUICPayload = 80
+	// maxGroupRequests caps a traffic group before it is subdivided at its
+	// widest internal idle gap; a smaller cap cheapens the search but risks
+	// cutting a chunk's bytes across groups.
+	maxGroupRequests = 16
+)
+
 // Params configures an inference.
 type Params struct {
 	// K is the maximum relative size over-estimation (Property 1). Zero
@@ -51,24 +67,6 @@ type Params struct {
 	Mux bool
 	// IdleSplitSec is the SP1 idle-gap threshold. Default 2 s.
 	IdleSplitSec float64
-	// SP2WindowSec is how close two uplink requests must be to count as
-	// simultaneous (SP2). Default 0.01 s.
-	SP2WindowSec float64
-	// SP2QuietSec is the minimum downlink quiet time required before a
-	// simultaneous-request pair counts as an SP2 split point. A genuine
-	// "all downloads finished" pair follows a lull; a retransmitted
-	// request pair lands mid-burst and must not cut a chunk's bytes in
-	// half. Default 0.25 s.
-	SP2QuietSec float64
-	// RequestMinQUICPayload separates QUIC request packets from ACKs
-	// (§5.3.1). Default 80 bytes.
-	RequestMinQUICPayload int64
-	// MaxGroupRequests caps the size of a traffic group before the group
-	// is recursively subdivided at its widest internal idle gap. Default
-	// 16. Subdividing more aggressively cheapens the per-group search but
-	// risks cutting a chunk's bytes across groups, so prefer the idle-gap
-	// split points.
-	MaxGroupRequests int
 	// GroupSearchBudget caps the enumeration work per traffic group: the
 	// total number of compressed partial combinations materialized by the
 	// per-group meet-in-the-middle search. Each window half's enumeration
@@ -163,14 +161,6 @@ func (p Params) withDefaults(proto packet.Proto) Params {
 		defaultFloat(&p.K, KHTTPS)
 	}
 	defaultFloat(&p.IdleSplitSec, 2.0)
-	defaultFloat(&p.SP2WindowSec, 0.01)
-	defaultFloat(&p.SP2QuietSec, 0.25)
-	if p.RequestMinQUICPayload == 0 {
-		p.RequestMinQUICPayload = 80
-	}
-	if p.MaxGroupRequests == 0 {
-		p.MaxGroupRequests = 16
-	}
 	if p.GroupSearchBudget == 0 {
 		p.GroupSearchBudget = 40_000_000
 	}

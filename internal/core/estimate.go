@@ -249,7 +249,8 @@ func estimateMuxSession(tr *capture.Trace, s *Step1, ids []int, proto packet.Pro
 		emitWarnings(p, warns)
 		return &Estimation{Proto: proto, Mux: true, Warnings: warns}, nil
 	}
-	groups, err := estimateMux(tr.ByConn()[mid], p, &s.conns[mid].quic.gaps)
+	c := s.conns[mid]
+	groups, err := estimateMux(tr.Packets[c.first:], mid, c.packets, p, &c.quic.gaps)
 	if err != nil {
 		if p.Degrade {
 			warns = append(warns, Warning{Code: "no_traffic_groups", Detail: err.Error()})
@@ -302,8 +303,6 @@ func emitWarnings(p Params, warns []Warning) {
 	}
 }
 
-// estimateMux implements Step 1.2 for SQ: detect split points, form traffic
-// groups, and estimate each group's total size and request count (§5.3.2).
 // ev is one monitor-visible media event: an uplink request or a downlink
 // data packet.
 type ev struct {
@@ -313,18 +312,26 @@ type ev struct {
 	gap     int64 // payload bytes reconstructed across a monitor gap
 }
 
-func estimateMux(pkts []packet.View, p Params, gaps *quicGaps) ([]Group, error) {
+// estimateMux implements Step 1.2 for SQ: detect split points, form traffic
+// groups, and estimate each group's total size and request count (§5.3.2).
+// pkts runs from media connection id's first packet to the end of the
+// trace; packets of other connections are skipped. n is the connection's
+// packet count.
+func estimateMux(pkts []packet.View, id int, n int64, p Params, gaps *quicGaps) ([]Group, error) {
 	// At most one event per packet: size the slice once instead of letting
 	// append double through ~10 minutes of trace.
-	evs := make([]ev, 0, len(pkts))
+	evs := make([]ev, 0, n)
 	var seenDown, seenUp ivl.Set
 	for i := range pkts {
 		v := &pkts[i]
+		if v.ConnID != id {
+			continue
+		}
 		if v.Dir == packet.Up {
 			if v.QUICLong {
 				continue
 			}
-			if v.QUICPayload > p.RequestMinQUICPayload {
+			if v.QUICPayload > requestMinQUICPayload {
 				if seenUp.Add(v.QUICPN, v.QUICPN+1) == 0 {
 					continue // monitor-duplicated request packet
 				}
@@ -363,8 +370,8 @@ func estimateMux(pkts []packet.View, p Params, gaps *quicGaps) ([]Group, error) 
 			// gone quiet. Retransmitted request packets also arrive as
 			// near-simultaneous pairs, mid-burst; cutting there would
 			// split a chunk's bytes across groups (§5.3.2's S1 caveat).
-			quiet := lastDown < 0 || e.t-lastDown >= p.SP2QuietSec
-			if !p.DisableSP2 && quiet && i+1 < len(evs) && evs[i+1].up && evs[i+1].t-e.t <= p.SP2WindowSec {
+			quiet := lastDown < 0 || e.t-lastDown >= sp2QuietSec
+			if !p.DisableSP2 && quiet && i+1 < len(evs) && evs[i+1].up && evs[i+1].t-e.t <= sp2WindowSec {
 				cuts = append(cuts, i)
 				p.Obs.Metrics().Counter("core.sp2_cuts").Inc()
 				if p.Obs.Enabled() {
@@ -475,7 +482,7 @@ func subdivide(gs groupSpan, evs []ev, p Params) []Group {
 			nReq++
 		}
 	}
-	if nReq <= p.MaxGroupRequests || gs.to-gs.from < 4 {
+	if nReq <= maxGroupRequests || gs.to-gs.from < 4 {
 		return []Group{materialize(gs, evs)}
 	}
 	// Find the widest downlink gap strictly inside the span. Only gaps
@@ -501,7 +508,7 @@ func subdivide(gs groupSpan, evs []ev, p Params) []Group {
 	// chunk's bytes; tolerate a moderately oversized group instead. Only
 	// truly unbounded groups (continuous low-bandwidth downloads with no
 	// pauses at all) get cut at the best gap available as a last resort.
-	if bestGap < minSubdivideGap && nReq <= 2*p.MaxGroupRequests {
+	if bestGap < minSubdivideGap && nReq <= 2*maxGroupRequests {
 		return []Group{materialize(gs, evs)}
 	}
 	if bestAt <= gs.from || bestAt >= gs.to {

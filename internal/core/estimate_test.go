@@ -246,9 +246,10 @@ func TestEstimateMuxSubdividesOversizedGroups(t *testing.T) {
 	ts := 1.0
 	pn := int64(1)
 	dpn := int64(0)
-	// 24 requests with continuous downloads; gaps of 0.3s between bursts
-	// (below the 2s SP1 threshold), with one wider 1.2s gap in the middle.
-	for r := 0; r < 24; r++ {
+	// 48 requests, three times the group cap, with continuous downloads;
+	// gaps of 0.3s between bursts (below the 2s SP1 threshold), with one
+	// wider 1.2s gap in the middle.
+	for r := 0; r < 48; r++ {
 		views = append(views, quicUp(ts, 1, pn, 400))
 		pn++
 		for k := 0; k < 3; k++ {
@@ -256,13 +257,13 @@ func TestEstimateMuxSubdividesOversizedGroups(t *testing.T) {
 			views = append(views, quicDown(ts, 1, dpn, 1330))
 			dpn++
 		}
-		if r == 11 {
+		if r == 23 {
 			ts += 1.2
 		} else {
 			ts += 0.3
 		}
 	}
-	p := Params{MediaHost: "m.x", Mux: true, MaxGroupRequests: 8}
+	p := Params{MediaHost: "m.x", Mux: true}
 	est, err := Estimate(mkTrace(views), p)
 	if err != nil {
 		t.Fatal(err)
@@ -273,11 +274,11 @@ func TestEstimateMuxSubdividesOversizedGroups(t *testing.T) {
 	totalReqs := 0
 	for gi, g := range est.Groups {
 		totalReqs += len(g.ReqTimes)
-		if len(g.ReqTimes) > 8 {
-			t.Errorf("group %d still has %d requests (cap 8)", gi, len(g.ReqTimes))
+		if len(g.ReqTimes) > maxGroupRequests {
+			t.Errorf("group %d still has %d requests (cap %d)", gi, len(g.ReqTimes), maxGroupRequests)
 		}
 	}
-	if totalReqs != 24 {
+	if totalReqs != 48 {
 		t.Fatalf("requests lost in subdivision: %d", totalReqs)
 	}
 	// Total estimated bytes must be conserved (modulo the per-request
@@ -286,7 +287,7 @@ func TestEstimateMuxSubdividesOversizedGroups(t *testing.T) {
 	for _, g := range est.Groups {
 		sum += g.Est
 	}
-	want := int64(24*3*1330) - 24*280
+	want := int64(48*3*1330) - 48*280
 	if sum != want {
 		t.Fatalf("bytes not conserved: %d, want %d", sum, want)
 	}

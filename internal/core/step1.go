@@ -32,11 +32,11 @@ import (
 //     (is the open request still empty?), QUIC's phantom filter (is the
 //     open response still below MinChunkBytes?) — comes out the other way
 //     under the current scale;
-//   - (QUIC) RequestMinQUICPayload or MinChunkBytes differ from the walk's.
+//   - (QUIC) MinChunkBytes differs from the walk's.
 //
 // A Step1 belongs to one trace, which may only grow by Tap between calls;
 // handed a different trace it starts over. It is not safe for concurrent
-// use. It holds no Params beyond each QUIC walk's two thresholds, so guard
+// use. It holds no Params beyond each QUIC walk's MinChunkBytes, so guard
 // charges, warnings and obs output are produced per solve exactly as on a
 // fresh trace.
 type Step1 struct {
@@ -119,8 +119,7 @@ func (s *Step1) advance(id int, c *connScan, p Params) []Request {
 		restart = restart || !c.tcp.holds(1, c.tcp.gaps.appRatio())
 	case c.quic != nil:
 		q := c.quic
-		restart = restart || q.reqMin != p.RequestMinQUICPayload || q.minChunk != p.MinChunkBytes ||
-			!q.holds(q.minChunk, q.gaps.meanData())
+		restart = restart || q.minChunk != p.MinChunkBytes || !q.holds(q.minChunk, q.gaps.meanData())
 	}
 	if restart {
 		if c.walked > c.first {
@@ -132,7 +131,7 @@ func (s *Step1) advance(id int, c *connScan, p Params) []Request {
 		case c.tcp != nil:
 			c.tcp.resetWalk()
 		case c.quic != nil:
-			c.quic.resetWalk(p.RequestMinQUICPayload, p.MinChunkBytes)
+			c.quic.resetWalk(p.MinChunkBytes)
 		}
 	}
 	pkts := s.tr.Packets
@@ -367,15 +366,14 @@ type quicConn struct {
 	seenDown, seenUp ivl.Set
 	// looked is the highest downlink packet number looked up for a hole.
 	looked int64
-	// reqMin and minChunk are the walk's RequestMinQUICPayload and
-	// MinChunkBytes.
-	reqMin, minChunk int64
+	// minChunk is the walk's MinChunkBytes.
+	minChunk int64
 }
 
 func newQUICConn() *quicConn { return &quicConn{looked: math.MinInt64} }
 
-func (c *quicConn) resetWalk(reqMin, minChunk int64) {
-	*c = quicConn{gaps: c.gaps, looked: math.MinInt64, reqMin: reqMin, minChunk: minChunk}
+func (c *quicConn) resetWalk(minChunk int64) {
+	*c = quicConn{gaps: c.gaps, looked: math.MinInt64, minChunk: minChunk}
 }
 
 // scan adds v to the gap scan and reports whether it fills a hole below the
@@ -392,7 +390,7 @@ func (c *quicConn) walk(v *packet.View) {
 		if v.QUICLong {
 			return // handshake
 		}
-		if v.QUICPayload > c.reqMin {
+		if v.QUICPayload > requestMinQUICPayload {
 			// Monitor-duplicated request packets reuse their packet number:
 			// drop them like TCP SEQ-duplicates.
 			if c.seenUp.Add(v.QUICPN, v.QUICPN+1) == 0 {

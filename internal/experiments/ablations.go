@@ -99,7 +99,7 @@ func ablRows(exp string, man *media.Manifest, res *session.Result, variants []ab
 			},
 		}
 	}
-	rres, _ := runner.Run(tasks, runnerPolicy(sc))
+	rres := runner.Run(tasks, runnerPolicy(sc))
 	for vi, r := range rres {
 		if r.Err != nil {
 			rows[vi] = []string{exp, variants[vi].name, "FAIL: " + truncateErr(r.Err), "-", "-", "-", "-"}

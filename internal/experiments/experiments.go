@@ -56,13 +56,6 @@ type Scale struct {
 	// a liveness backstop, not a determinism mechanism: which run trips it
 	// depends on machine speed.
 	DeadlineSec float64
-	// Retries bounds re-attempts of failed runs (panics and cancellations
-	// are never retried). Backoff is deterministically seeded per task.
-	Retries int
-	// QuarantineAfter, when positive, skips a (video, trace) task key after
-	// that many consecutive failures, so one poisoned input cannot consume
-	// the whole retry budget of a sweep.
-	QuarantineAfter int
 	// Interrupt, when non-nil, requests a graceful drain when closed:
 	// in-flight runs are cancelled via their guards and pending tasks are
 	// skipped. cmd/csi-paper wires it to SIGINT.
@@ -73,12 +66,10 @@ type Scale struct {
 // experiment driver executes its per-run tasks under.
 func runnerPolicy(sc Scale) runner.Policy {
 	return runner.Policy{
-		WorkBudget:      sc.WorkBudget,
-		DeadlineSec:     sc.DeadlineSec,
-		Retries:         sc.Retries,
-		QuarantineAfter: sc.QuarantineAfter,
-		Interrupt:       sc.Interrupt,
-		Obs:             sc.Obs,
+		WorkBudget:  sc.WorkBudget,
+		DeadlineSec: sc.DeadlineSec,
+		Interrupt:   sc.Interrupt,
+		Obs:         sc.Obs,
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"csi/internal/capture"
@@ -163,18 +162,14 @@ func FaultSweep(sc Scale, levels []FaultLevel, designs ...session.Design) (*Tabl
 				},
 			}
 		}
-		rres, _ := runner.Run(tasks, runnerPolicy(sc))
+		rres := runner.Run(tasks, runnerPolicy(sc))
 		var firstErr error
 		for ji, r := range rres {
 			if r.Err == nil {
 				continue
 			}
 			skipped[ji] = true
-			if r.Panicked || r.Cancelled || r.Quarantined {
-				continue
-			}
-			var pe *guard.PanicError
-			if errors.As(r.Err, &pe) {
+			if r.Panicked || r.Cancelled {
 				continue
 			}
 			if firstErr == nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -129,21 +128,17 @@ func evalRuns(design session.Design, sc Scale) ([]runOutcome, error) {
 			},
 		}
 	}
-	rres, _ := runner.Run(tasks, runnerPolicy(sc))
+	rres := runner.Run(tasks, runnerPolicy(sc))
 	var firstErr error
 	for ji, r := range rres {
 		if r.Err == nil {
 			continue
 		}
 		skipped[ji] = true
-		// Contained failures (panics, cancellations, quarantines) degrade to
-		// skipped runs so sibling sessions still count; anything else is a
-		// hard error for the sweep.
-		if r.Panicked || r.Cancelled || r.Quarantined {
-			continue
-		}
-		var pe *guard.PanicError
-		if errors.As(r.Err, &pe) {
+		// Contained failures (panics, cancellations) degrade to skipped
+		// runs so sibling sessions still count; anything else is a hard
+		// error for the sweep.
+		if r.Panicked || r.Cancelled {
 			continue
 		}
 		if firstErr == nil {

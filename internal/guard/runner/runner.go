@@ -1,18 +1,16 @@
 // Package runner is the supervised worker pool of the guard layer: it runs
 // independent tasks (typically one streamed session + inference each) under
-// per-task guard tokens, contains panics, retries retryable failures with
-// deterministic seeded backoff, quarantines repeat offenders, and drains
-// gracefully on interrupt. The experiment sweeps and cmd/csi-paper run
-// every session through it, so one poisoned or pathological session
-// degrades to a single failed Result instead of killing the batch.
+// per-task guard tokens, contains panics, and drains gracefully on
+// interrupt. The experiment sweeps and cmd/csi-paper run every session
+// through it, so one poisoned or pathological session degrades to a single
+// failed Result instead of killing the batch. It never retries: every task
+// is a seeded simulation that fails the same way on every attempt.
 package runner
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"csi/internal/guard"
 	"csi/internal/obs"
@@ -22,11 +20,7 @@ import (
 type Task struct {
 	// Name identifies the task in results and obs events.
 	Name string
-	// Key groups tasks for quarantine counting; empty defaults to Name.
-	// Sweeps use it to group all repetitions of one (design, trace) cell,
-	// so a cell that keeps failing stops consuming attempts.
-	Key string
-	// Run does the work. The guard token carries the per-attempt budget
+	// Run does the work. The guard token carries the per-task budget
 	// and deadline and is cancelled on interrupt; implementations should
 	// pass it down to core.Infer via Params.Guard.
 	Run func(*guard.Ctx) error
@@ -36,28 +30,13 @@ type Task struct {
 type Policy struct {
 	// Workers caps concurrency; <= 0 means GOMAXPROCS.
 	Workers int
-	// WorkBudget is the per-attempt guard step budget; <= 0 is unmetered.
+	// WorkBudget is the per-task guard step budget; <= 0 is unmetered.
 	WorkBudget int64
-	// DeadlineSec arms a per-attempt wall-clock deadline; <= 0 disables.
+	// DeadlineSec arms a per-task wall-clock deadline; <= 0 disables.
 	DeadlineSec float64
 	// Clock supplies the deadline clock; nil defaults to guard.WallClock()
 	// (tests inject a virtual clock instead).
 	Clock func() func() float64
-	// Retries is the number of re-attempts after a retryable failure.
-	Retries int
-	// Retryable decides whether a failure is worth another attempt. nil
-	// defaults to retrying everything except contained panics and
-	// cancellations (an interrupted task must not restart).
-	Retryable func(error) bool
-	// BackoffSeed seeds the deterministic retry backoff jitter.
-	BackoffSeed uint64
-	// Sleep is called between attempts; nil defaults to time.Sleep.
-	// Tests inject a recorder to assert the deterministic schedule.
-	Sleep func(time.Duration)
-	// QuarantineAfter quarantines a Key after that many consecutive
-	// failed tasks (a success resets the count); <= 0 disables. Tasks
-	// hitting a quarantined key fail fast with ErrQuarantined.
-	QuarantineAfter int
 	// Interrupt, when closed, cancels all in-flight guards and stops
 	// dispatching new tasks; already-running tasks drain to completion
 	// (their guards report cancelled, so they wind down quickly).
@@ -70,66 +49,32 @@ type Policy struct {
 type Result struct {
 	Name string
 	// Err is nil on success. Contained panics surface as *guard.PanicError,
-	// interrupted tasks as ErrInterrupted, quarantined ones as ErrQuarantined.
+	// tasks interrupted before they started as ErrInterrupted.
 	Err error
-	// Attempts is the number of times Run was invoked (0 when the task was
-	// never started: quarantined, or interrupted before dispatch).
-	Attempts int
-	// Panicked is set when the final failure was a contained panic.
+	// Panicked is set when the failure was a contained panic.
 	Panicked bool
 	// Cancelled is set when the task's guard was cancelled (interrupt or
-	// a Cancel from inside the task).
+	// a Cancel from inside the task), or the interrupt came before the
+	// task started.
 	Cancelled bool
-	// Quarantined is set when the task was skipped due to its Key's
-	// quarantine.
-	Quarantined bool
 }
 
-// Stats aggregates a Run's results.
-type Stats struct {
-	Completed   int // tasks that returned nil
-	Failed      int // tasks with a non-nil Err, including the below
-	Panics      int // final failures that were contained panics
-	Cancelled   int // tasks stopped by cancellation/interrupt
-	Quarantined int // tasks skipped by quarantine
-	Retries     int // extra attempts beyond the first, summed
-}
+// ErrInterrupted is the Err of a task the interrupt skipped before it
+// started.
+var ErrInterrupted = errors.New("runner: interrupted before start")
 
-// Sentinel errors for tasks that never ran their work to a verdict.
-var (
-	ErrQuarantined = errors.New("runner: task quarantined")
-	ErrInterrupted = errors.New("runner: interrupted before start")
-)
-
-// Run executes tasks under pol and returns per-task results in task order
-// plus aggregate stats. It blocks until every dispatched task has drained,
-// even on interrupt, and leaves no goroutines behind.
-func Run(tasks []Task, pol Policy) ([]Result, Stats) {
+// Run executes tasks under pol and returns per-task results in task order.
+// It blocks until every dispatched task has drained, even on interrupt,
+// and leaves no goroutines behind.
+func Run(tasks []Task, pol Policy) []Result {
 	workers := pol.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	retryable := pol.Retryable
-	if retryable == nil {
-		retryable = func(err error) bool {
-			var pe *guard.PanicError
-			if errors.As(err, &pe) {
-				return false
-			}
-			var se *guard.StopError
-			return !errors.As(err, &se) || se.Code != guard.CodeCancelled
-		}
-	}
-	sleep := pol.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
 
 	reg := pol.Obs.Metrics()
 	cPanics := reg.Counter("runner.panics")
-	cRetries := reg.Counter("runner.retries")
 	cCancels := reg.Counter("runner.cancellations")
-	cQuarantines := reg.Counter("runner.quarantines")
 	// Progress metrics for in-flight observation (the live ops plane derives
 	// remaining/rate/ETA from them). All increments are deterministic in
 	// aggregate: tasks_completed + tasks_failed converges to tasks_total and
@@ -145,7 +90,6 @@ func Run(tasks []Task, pol Policy) ([]Result, Stats) {
 		active      = make(map[*guard.Ctx]bool)
 		interrupted bool
 	)
-	quar := NewQuarantine(pol.QuarantineAfter)
 
 	// Interrupt watcher: cancel every in-flight guard once, then exit.
 	// The done channel bounds its lifetime so an unused Interrupt channel
@@ -168,7 +112,14 @@ func Run(tasks []Task, pol Policy) ([]Result, Stats) {
 		}()
 	}
 
-	newGuard := func() *guard.Ctx {
+	// start registers a fresh guard for one task; it returns nil when the
+	// interrupt came first, so the task is skipped.
+	start := func() *guard.Ctx {
+		mu.Lock()
+		defer mu.Unlock()
+		if interrupted {
+			return nil
+		}
 		g := guard.New(pol.WorkBudget)
 		if pol.DeadlineSec > 0 {
 			clock := pol.Clock
@@ -177,45 +128,8 @@ func Run(tasks []Task, pol Policy) ([]Result, Stats) {
 			}
 			g.WithDeadline(clock(), pol.DeadlineSec)
 		}
+		active[g] = true
 		return g
-	}
-
-	// attempt runs one task through its retry loop.
-	attempt := func(t Task, res Result) Result {
-		for att := 0; ; att++ {
-			g := newGuard()
-			mu.Lock()
-			active[g] = true
-			if interrupted {
-				// The watcher already swept active; cancel here so a
-				// task dispatched concurrently with the interrupt still
-				// drains promptly.
-				g.Cancel("interrupt: draining")
-			}
-			mu.Unlock()
-			res.Attempts++
-			err := contain(t.Run, g)
-			mu.Lock()
-			delete(active, g)
-			mu.Unlock()
-
-			res.Err = err
-			var pe *guard.PanicError
-			res.Panicked = errors.As(err, &pe)
-			res.Cancelled = g.Code() == guard.CodeCancelled
-			if res.Panicked {
-				cPanics.Inc()
-			}
-			if res.Cancelled {
-				cCancels.Inc()
-			}
-			if err == nil || res.Panicked || res.Cancelled ||
-				att >= pol.Retries || !retryable(err) {
-				return res
-			}
-			cRetries.Inc()
-			sleep(Backoff(pol.BackoffSeed, t.Name, att))
-		}
 	}
 
 	results := make([]Result, len(tasks))
@@ -226,106 +140,57 @@ func Run(tasks []Task, pol Policy) ([]Result, Stats) {
 		wg.Add(1)
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
-			t := tasks[i]
-			key := t.Key
-			if key == "" {
-				key = t.Name
-			}
-			res := Result{Name: t.Name}
-
-			mu.Lock()
-			skip := interrupted
-			mu.Unlock()
-			switch {
-			case skip:
+			res := Result{Name: tasks[i].Name}
+			if g := start(); g == nil {
 				res.Err = ErrInterrupted
 				res.Cancelled = true
-				cCancels.Inc()
-			case quar.Parked(key):
-				res.Err = ErrQuarantined
-				res.Quarantined = true
-				cQuarantines.Inc()
-			default:
+			} else {
 				gActive.Add(1)
-				res = attempt(t, res)
+				res.Err = contain(tasks[i].Run, g)
 				gActive.Add(-1)
+				mu.Lock()
+				delete(active, g)
+				mu.Unlock()
+				var pe *guard.PanicError
+				res.Panicked = errors.As(res.Err, &pe)
+				res.Cancelled = g.Code() == guard.CodeCancelled
+			}
+			if res.Panicked {
+				cPanics.Inc()
+			}
+			if res.Cancelled {
+				cCancels.Inc()
 			}
 			if res.Err == nil {
 				cCompleted.Inc()
 			} else {
 				cFailed.Inc()
 			}
-
-			if !res.Quarantined {
-				quar.Record(key, res.Err == nil)
-			}
 			results[i] = res
 		}(i)
 	}
 	wg.Wait()
 
-	var st Stats
-	for _, r := range results {
-		st.Retries += max(0, r.Attempts-1)
-		switch {
-		case r.Err == nil:
-			st.Completed++
-		default:
-			st.Failed++
-			if r.Panicked {
-				st.Panics++
-			}
-			if r.Cancelled {
-				st.Cancelled++
-			}
-			if r.Quarantined {
-				st.Quarantined++
-			}
-			if pol.Obs.Enabled() {
-				pol.Obs.Event("runner", "task_failed",
-					obs.Str("task", r.Name),
-					obs.Int("attempts", int64(r.Attempts)),
-					obs.Err("error", r.Err))
-			}
-		}
-	}
 	if pol.Obs.Enabled() {
+		failed := 0
+		for _, r := range results {
+			if r.Err == nil {
+				continue
+			}
+			failed++
+			pol.Obs.Event("runner", "task_failed",
+				obs.Str("task", r.Name), obs.Err("error", r.Err))
+		}
 		pol.Obs.Event("runner", "drained",
 			obs.Int("tasks", int64(len(tasks))),
-			obs.Int("completed", int64(st.Completed)),
-			obs.Int("failed", int64(st.Failed)))
+			obs.Int("completed", int64(len(tasks)-failed)),
+			obs.Int("failed", int64(failed)))
 	}
-	return results, st
+	return results
 }
 
 // contain runs fn under g, converting a panic into a *guard.PanicError.
 func contain(fn func(*guard.Ctx) error, g *guard.Ctx) (err error) {
 	defer guard.Capture(&err)
 	return fn(g)
-}
-
-// Backoff returns the deterministic delay before re-attempt attempt+1 of
-// task name: an exponential base (10ms doubling, capped at 640ms) plus a
-// jitter in [0, base) derived from splitmix64 over (seed, name, attempt).
-// Same seed, same task, same attempt -> same delay, on every machine.
-func Backoff(seed uint64, name string, attempt int) time.Duration {
-	base := 10 * time.Millisecond << min(attempt, 6)
-	h := seed
-	for _, b := range []byte(name) {
-		h = (h ^ uint64(b)) * 0x100000001b3
-	}
-	h ^= uint64(attempt) + 1
-	// splitmix64 finalizer.
-	h += 0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
-	jitter := time.Duration(h % uint64(base))
-	return base + jitter
-}
-
-// String summarizes stats for log lines.
-func (s Stats) String() string {
-	return fmt.Sprintf("completed=%d failed=%d panics=%d cancelled=%d quarantined=%d retries=%d",
-		s.Completed, s.Failed, s.Panics, s.Cancelled, s.Quarantined, s.Retries)
 }

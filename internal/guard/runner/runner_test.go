@@ -6,14 +6,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"csi/internal/guard"
 	"csi/internal/obs"
 	"csi/internal/testleak"
 )
-
-func noSleep(time.Duration) {}
 
 func TestRunOrderAndStats(t *testing.T) {
 	testleak.Check(t)
@@ -29,17 +26,15 @@ func TestRunOrderAndStats(t *testing.T) {
 			return nil
 		}}
 	}
-	res, st := Run(tasks, Policy{Workers: 4, Sleep: noSleep})
+	res := Run(tasks, Policy{Workers: 4})
 	if len(res) != 10 || len(order) != 10 {
 		t.Fatalf("ran %d tasks, results %d", len(order), len(res))
 	}
 	for i, r := range res {
-		if r.Name != fmt.Sprintf("t%d", i) || r.Err != nil || r.Attempts != 1 {
-			t.Fatalf("result[%d] = %+v", i, r)
+		want := Result{Name: fmt.Sprintf("t%d", i)}
+		if r != want {
+			t.Fatalf("result[%d] = %+v, want %+v", i, r, want)
 		}
-	}
-	if st.Completed != 10 || st.Failed != 0 || st.Retries != 0 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -52,7 +47,7 @@ func TestPanicContainedSiblingsComplete(t *testing.T) {
 		{Name: "ok-2", Run: func(*guard.Ctx) error { completed.Add(1); return nil }},
 	}
 	tr := obs.New(nil, obs.NewCollector())
-	res, st := Run(tasks, Policy{Workers: 1, Retries: 3, Sleep: noSleep, Obs: tr})
+	res := Run(tasks, Policy{Workers: 1, Obs: tr})
 	if completed.Load() != 2 {
 		t.Fatalf("siblings completed = %d, want 2", completed.Load())
 	}
@@ -60,11 +55,11 @@ func TestPanicContainedSiblingsComplete(t *testing.T) {
 	if !errors.As(res[1].Err, &pe) || pe.Value != "poisoned session" {
 		t.Fatalf("res[1].Err = %v, want contained panic", res[1].Err)
 	}
-	if !res[1].Panicked || res[1].Attempts != 1 {
-		t.Fatalf("panics must not retry: %+v", res[1])
+	if !res[1].Panicked || res[1].Cancelled {
+		t.Fatalf("res[1] = %+v, want Panicked only", res[1])
 	}
-	if st.Panics != 1 || st.Completed != 2 || st.Failed != 1 {
-		t.Fatalf("stats = %+v", st)
+	if res[0].Err != nil || res[2].Err != nil {
+		t.Fatalf("siblings failed: %+v, %+v", res[0], res[2])
 	}
 	if v := tr.Metrics().Counter("runner.panics").Value(); v != 1 {
 		t.Fatalf("runner.panics = %d", v)
@@ -86,68 +81,6 @@ func TestPanicContainedSiblingsComplete(t *testing.T) {
 	}
 }
 
-func TestRetryDeterministicBackoff(t *testing.T) {
-	testleak.Check(t)
-	run := func() (int, []time.Duration) {
-		var sleeps []time.Duration
-		var mu sync.Mutex
-		fails := 0
-		tasks := []Task{{Name: "flaky", Run: func(*guard.Ctx) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if fails < 2 {
-				fails++
-				return errors.New("transient")
-			}
-			return nil
-		}}}
-		res, _ := Run(tasks, Policy{Retries: 3, BackoffSeed: 42,
-			Sleep: func(d time.Duration) {
-				mu.Lock()
-				sleeps = append(sleeps, d)
-				mu.Unlock()
-			}})
-		if res[0].Err != nil {
-			t.Fatalf("flaky task should succeed on attempt 3: %v", res[0].Err)
-		}
-		return res[0].Attempts, sleeps
-	}
-	att1, s1 := run()
-	att2, s2 := run()
-	if att1 != 3 || att2 != 3 {
-		t.Fatalf("attempts = %d, %d; want 3", att1, att2)
-	}
-	if len(s1) != 2 || len(s2) != 2 {
-		t.Fatalf("sleep counts = %d, %d; want 2", len(s1), len(s2))
-	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatalf("backoff not deterministic: %v vs %v", s1, s2)
-		}
-	}
-	// Exponential envelope: delay i is in [base, 2*base).
-	for i, d := range s1 {
-		base := 10 * time.Millisecond << i
-		if d < base || d >= 2*base {
-			t.Fatalf("sleep[%d] = %v outside [%v, %v)", i, d, base, 2*base)
-		}
-	}
-}
-
-func TestRetriesExhausted(t *testing.T) {
-	testleak.Check(t)
-	tasks := []Task{{Name: "always-bad", Run: func(*guard.Ctx) error {
-		return errors.New("persistent")
-	}}}
-	res, st := Run(tasks, Policy{Retries: 2, Sleep: noSleep})
-	if res[0].Attempts != 3 || res[0].Err == nil {
-		t.Fatalf("result = %+v", res[0])
-	}
-	if st.Retries != 2 || st.Failed != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestWorkBudgetStopsTask(t *testing.T) {
 	testleak.Check(t)
 	tasks := []Task{{Name: "heavy", Run: func(g *guard.Ctx) error {
@@ -155,39 +88,10 @@ func TestWorkBudgetStopsTask(t *testing.T) {
 		}
 		return g.Err()
 	}}}
-	res, _ := Run(tasks, Policy{WorkBudget: 100, Sleep: noSleep, Retries: 0})
+	res := Run(tasks, Policy{WorkBudget: 100})
 	var se *guard.StopError
 	if !errors.As(res[0].Err, &se) || se.Code != guard.CodeDeadline {
 		t.Fatalf("res.Err = %v, want budget StopError", res[0].Err)
-	}
-}
-
-func TestQuarantine(t *testing.T) {
-	testleak.Check(t)
-	var runs atomic.Int64
-	mk := func(i int) Task {
-		return Task{Name: fmt.Sprintf("cell/%d", i), Key: "cell", Run: func(*guard.Ctx) error {
-			runs.Add(1)
-			return errors.New("bad cell")
-		}}
-	}
-	tasks := []Task{mk(0), mk(1), mk(2), mk(3)}
-	tr := obs.New(nil, obs.NewCollector())
-	res, st := Run(tasks, Policy{Workers: 1, QuarantineAfter: 2, Sleep: noSleep, Obs: tr})
-	if runs.Load() != 2 {
-		t.Fatalf("quarantined key still ran %d times, want 2", runs.Load())
-	}
-	if !res[2].Quarantined || !res[3].Quarantined {
-		t.Fatalf("tail tasks not quarantined: %+v, %+v", res[2], res[3])
-	}
-	if !errors.Is(res[2].Err, ErrQuarantined) {
-		t.Fatalf("res[2].Err = %v", res[2].Err)
-	}
-	if st.Quarantined != 2 || st.Failed != 4 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if v := tr.Metrics().Counter("runner.quarantines").Value(); v != 2 {
-		t.Fatalf("runner.quarantines = %d", v)
 	}
 }
 
@@ -213,22 +117,13 @@ func TestInterruptDrainCancelsMidFlight(t *testing.T) {
 		<-started
 		close(interrupt)
 	}()
-	res, st := Run(tasks, Policy{Workers: 2, Interrupt: interrupt, Sleep: noSleep, Retries: 5})
-	for _, i := range []int{0, 1} {
-		if !res[i].Cancelled {
-			t.Fatalf("res[%d] not cancelled: %+v", i, res[i])
-		}
-		if res[i].Attempts > 1 {
-			t.Fatalf("cancelled task retried: %+v", res[i])
-		}
-	}
+	res := Run(tasks, Policy{Workers: 2, Interrupt: interrupt})
 	// The third task either never started (ErrInterrupted) or was
 	// dispatched concurrently with the interrupt and drained cancelled.
-	if res[2].Err == nil {
-		t.Fatalf("task after interrupt completed: %+v", res[2])
-	}
-	if st.Cancelled != 3 {
-		t.Fatalf("stats = %+v", st)
+	for i, r := range res {
+		if !r.Cancelled || r.Err == nil {
+			t.Fatalf("res[%d] = %+v, want cancelled with an error", i, r)
+		}
 	}
 }
 
@@ -236,57 +131,9 @@ func TestInterruptNeverFiredNoLeak(t *testing.T) {
 	testleak.Check(t)
 	interrupt := make(chan struct{}) // never closed
 	tasks := []Task{{Name: "quick", Run: func(*guard.Ctx) error { return nil }}}
-	res, _ := Run(tasks, Policy{Interrupt: interrupt, Sleep: noSleep})
+	res := Run(tasks, Policy{Interrupt: interrupt})
 	if res[0].Err != nil {
 		t.Fatalf("res = %+v", res[0])
 	}
 	// testleak.Check asserts the watcher goroutine exited.
-}
-
-func TestBackoffDeterminismAcrossTasks(t *testing.T) {
-	a := Backoff(7, "task-a", 0)
-	b := Backoff(7, "task-a", 0)
-	c := Backoff(7, "task-b", 0)
-	if a != b {
-		t.Fatalf("same inputs differ: %v vs %v", a, b)
-	}
-	if a == c {
-		t.Log("jitter collision across names (allowed but unlikely)")
-	}
-	if a < 10*time.Millisecond || a >= 20*time.Millisecond {
-		t.Fatalf("attempt-0 backoff %v outside [10ms, 20ms)", a)
-	}
-	if d := Backoff(7, "task-a", 20); d >= 2*640*time.Millisecond {
-		t.Fatalf("capped backoff too large: %v", d)
-	}
-}
-
-func TestQuarantineTracker(t *testing.T) {
-	if NewQuarantine(0) != nil {
-		t.Fatalf("after=0 must disable the tracker")
-	}
-	var nilQ *Quarantine
-	if nilQ.Parked("x") || nilQ.Record("x", false) || nilQ.Keys() != nil {
-		t.Fatalf("nil tracker must be inert")
-	}
-	q := NewQuarantine(2)
-	if q.Record("a", false) {
-		t.Fatalf("one failure must not park at after=2")
-	}
-	q.Record("a", true) // success resets the streak
-	q.Record("a", false)
-	if !q.Record("a", false) {
-		t.Fatalf("second consecutive failure must park and report the edge")
-	}
-	if q.Record("a", false) {
-		t.Fatalf("records on a parked key must not re-report the edge")
-	}
-	if !q.Parked("a") || q.Parked("b") {
-		t.Fatalf("parked set wrong: %v", q.Keys())
-	}
-	q.Record("b", false)
-	q.Record("b", false)
-	if got := q.Keys(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Keys() = %v, want [a b]", got)
-	}
 }

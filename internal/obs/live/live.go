@@ -8,8 +8,8 @@
 //	                counter/gauge/histogram (lock-free Registry.Snapshot,
 //	                stable ordering, p50/p95/p99 per histogram)
 //	/statusz        JSON status document: build info, uptime, guard/runner
-//	                configuration and progress (tasks done/failed/retried/
-//	                quarantined + ETA), per-stage core.Infer timings
+//	                configuration and progress (tasks done/failed/cancelled/
+//	                panicked + ETA), per-stage core.Infer timings
 //	/healthz        liveness (always 200 while the process serves)
 //	/readyz         readiness (503 until SetReady(true))
 //	/events         Server-Sent Events tail of a bounded ring buffer of

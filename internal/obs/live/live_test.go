@@ -151,7 +151,7 @@ func TestStatuszSchema(t *testing.T) {
 	reg.Counter("runner.tasks_total").Add(10)
 	reg.Counter("runner.tasks_completed").Add(4)
 	reg.Counter("runner.tasks_failed").Add(1)
-	reg.Counter("runner.retries").Add(2)
+	reg.Counter("runner.panics").Add(2)
 	reg.Gauge("runner.tasks_active").Add(3)
 	ring := NewRing(8)
 	ring.Emit(obs.Record{Name: "warm"})
@@ -178,7 +178,7 @@ func TestStatuszSchema(t *testing.T) {
 			TasksTotal int64   `json:"tasks_total"`
 			Completed  int64   `json:"completed"`
 			Failed     int64   `json:"failed"`
-			Retries    int64   `json:"retries"`
+			Panics     int64   `json:"panics"`
 			Active     int64   `json:"active"`
 			Remaining  int64   `json:"remaining"`
 			RatePerSec float64 `json:"rate_per_sec"`
@@ -201,7 +201,7 @@ func TestStatuszSchema(t *testing.T) {
 		t.Fatalf("statusz header wrong: %s", body)
 	}
 	if doc.Runner == nil || doc.Runner.TasksTotal != 10 || doc.Runner.Completed != 4 ||
-		doc.Runner.Failed != 1 || doc.Runner.Retries != 2 || doc.Runner.Active != 3 ||
+		doc.Runner.Failed != 1 || doc.Runner.Panics != 2 || doc.Runner.Active != 3 ||
 		doc.Runner.Remaining != 5 {
 		t.Fatalf("runner block wrong: %+v", doc.Runner)
 	}

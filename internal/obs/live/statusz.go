@@ -38,15 +38,13 @@ type statusDoc struct {
 // counters in the application registry and extrapolated with the plane's
 // sanctioned wall clock.
 type runnerStatus struct {
-	TasksTotal  int64 `json:"tasks_total"`
-	Completed   int64 `json:"completed"`
-	Failed      int64 `json:"failed"`
-	Retries     int64 `json:"retries"`
-	Quarantined int64 `json:"quarantined"`
-	Cancelled   int64 `json:"cancelled"`
-	Panics      int64 `json:"panics"`
-	Active      int64 `json:"active"`
-	Remaining   int64 `json:"remaining"`
+	TasksTotal int64 `json:"tasks_total"`
+	Completed  int64 `json:"completed"`
+	Failed     int64 `json:"failed"`
+	Cancelled  int64 `json:"cancelled"`
+	Panics     int64 `json:"panics"`
+	Active     int64 `json:"active"`
+	Remaining  int64 `json:"remaining"`
 	// RatePerSec is the terminal-task throughput (completed+failed per
 	// second of serving time); EtaSec extrapolates the remaining tasks at
 	// that rate. Both are 0 until the first task finishes.
@@ -131,8 +129,6 @@ func (s *Server) observeProgress() *runnerStatus {
 	st.TasksTotal = counter("runner.tasks_total")
 	st.Completed = counter("runner.tasks_completed")
 	st.Failed = counter("runner.tasks_failed")
-	st.Retries = counter("runner.retries")
-	st.Quarantined = counter("runner.quarantines")
 	st.Cancelled = counter("runner.cancellations")
 	st.Panics = counter("runner.panics")
 	for _, g := range snap.Gauges {

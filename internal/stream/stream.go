@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,7 +11,6 @@ import (
 	"csi/internal/capture"
 	"csi/internal/core"
 	"csi/internal/guard"
-	"csi/internal/guard/runner"
 	"csi/internal/media"
 	"csi/internal/obs"
 	"csi/internal/packet"
@@ -90,9 +90,9 @@ type Options struct {
 	// Clock; a liveness backstop for live mode, never used in replay).
 	SolveDeadlineSec float64
 	// QuarantineAfter parks a flow after this many consecutive panicking
-	// solves (runner.Quarantine semantics; ordinary inference errors do not
-	// count — they are normal on short prefixes of a growing flow); 0
-	// disables.
+	// solves (a successful solve resets the count; ordinary inference errors
+	// leave it alone — they are normal on short prefixes of a growing flow);
+	// 0 disables.
 	QuarantineAfter int
 	// IdleEvictSec finalizes flows idle for this long in *virtual* time
 	// (the max packet timestamp seen), so replay stays deterministic.
@@ -153,6 +153,9 @@ type flowState struct {
 	solves   int
 	lastInf  *core.Inference // last completed successful solve
 	lastErr  error
+	// panicStreak counts the consecutive panicking solves toward
+	// Options.QuarantineAfter.
+	panicStreak int
 
 	finalizing  bool
 	finalIssued bool // the final solve has been scheduled
@@ -208,7 +211,9 @@ type Monitor struct {
 	liveFlows   int // flows not yet finalizing
 	draining    bool
 
-	quar *runner.Quarantine
+	// parked names the quarantined flows, for Status; non-nil (an empty
+	// JSON list rather than null) when QuarantineAfter is set. Guarded by mu.
+	parked []string
 
 	cFrames  *obs.Counter
 	cShed    *obs.Counter
@@ -256,7 +261,6 @@ func newMonitor(opts Options) *Monitor {
 		flows:       make(map[string]*flowState),
 		closed:      make(map[string]bool),
 		uncommitted: make(map[uint64]Result),
-		quar:        runner.NewQuarantine(opts.QuarantineAfter),
 		cFrames:     reg.Counter("stream.frames_total"),
 		cShed:       reg.Counter("stream.shed_total"),
 		cEvicted:    reg.Counter("stream.flows_evicted"),
@@ -266,6 +270,9 @@ func newMonitor(opts Options) *Monitor {
 		cPanics:     reg.Counter("stream.solve_panics"),
 		gActive:     reg.Gauge("stream.flows_active"),
 		gBuffer:     reg.Gauge("stream.bytes_buffered"),
+	}
+	if opts.QuarantineAfter > 0 {
+		m.parked = []string{}
 	}
 	m.gActive.Set(0)
 	m.gBuffer.Set(0)
@@ -379,10 +386,12 @@ func (m *Monitor) Status() any {
 		rows = append(rows, row)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Flow < rows[j].Flow })
+	parked := slices.Clone(m.parked)
+	sort.Strings(parked)
 	return map[string]any{
 		"flows":       rows,
 		"committed":   len(m.results),
-		"quarantined": m.quar.Keys(),
+		"quarantined": parked,
 	}
 }
 
@@ -684,14 +693,14 @@ func (m *Monitor) handleDone(d solveDone) {
 	// Only panicking solves count toward quarantine: an ordinary inference
 	// error is normal on a short prefix of a still-growing flow and clears
 	// itself as data arrives, but a panic marks the flow's data as poison.
-	var parkedNow bool
 	if panicked {
-		parkedNow = m.quar.Record(fs.name, false)
+		fs.panicStreak++
 	} else if d.err == nil {
-		m.quar.Record(fs.name, true)
+		fs.panicStreak = 0
 	}
 
-	if parkedNow {
+	if m.opts.QuarantineAfter > 0 && fs.panicStreak >= m.opts.QuarantineAfter {
+		m.parked = append(m.parked, fs.name)
 		// The park decision overrides any finalization already in flight:
 		// the flow gets no further solves, so commit what we have — in the
 		// already-assigned slot if one exists (re-finalizing would orphan it

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -401,6 +402,62 @@ func TestPoisonedFlowQuarantined(t *testing.T) {
 	}
 	if v := obsT.Metrics().Counter("stream.solve_panics").Value(); v < 2 {
 		t.Fatalf("stream.solve_panics = %d, want >= 2", v)
+	}
+	if got := mon.Status().(map[string]any)["quarantined"]; !slices.Equal(got.([]string), []string{"poison"}) {
+		t.Fatalf("Status quarantined = %v, want [poison]", got)
+	}
+}
+
+// TestQuarantineStreakResets: a successful solve resets a flow's panic
+// streak, so under QuarantineAfter 2 a flow that panics on every other
+// solve is never parked, however many times it panics in all.
+func TestQuarantineStreakResets(t *testing.T) {
+	testleak.Check(t)
+	man := testManifest(t, session.SH)
+	tr := testSession(t, man, session.SH, 63, 60)
+
+	var mu sync.Mutex
+	solves, panics := 0, 0
+	var solveErrs []error
+	testHookSolve = func(string) {
+		mu.Lock()
+		defer mu.Unlock()
+		solves++
+		if solves%2 == 1 {
+			panics++
+			panic("injected every other solve")
+		}
+	}
+	testHookSolved = func(_ string, _ int, _ *core.Inference, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if solves%2 == 0 && err != nil {
+			solveErrs = append(solveErrs, err)
+		}
+	}
+	defer func() { testHookSolve, testHookSolved = nil, nil }()
+
+	opts := replayOpts(man, false)
+	opts.ResolveEvery = 50
+	opts.QuarantineAfter = 2
+	mon := New(opts)
+	for i := range tr.Packets {
+		mon.Ingest(Frame{Flow: "flaky", Packet: tr.Packets[i]})
+	}
+	results := mon.Drain()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(solveErrs) > 0 {
+		t.Fatalf("a non-panicking solve failed, so its streak did not reset: %v", solveErrs)
+	}
+	if panics < 3 {
+		t.Fatalf("%d panicking solves; want at least 3 for a streak of 2 without resets", panics)
+	}
+	if len(results) != 1 || results[0].Reason != ReasonDrain {
+		t.Fatalf("flow was not drained normally: %+v", results)
+	}
+	if got := mon.Status().(map[string]any)["quarantined"]; len(got.([]string)) != 0 {
+		t.Fatalf("Status quarantined = %v, want none", got)
 	}
 }
 
