@@ -1,13 +1,14 @@
 // Package crashpoint is the deterministic crash-injection harness behind
 // the streaming monitor's durability tests (DESIGN.md §13). The durability
 // code marks every boundary where a crash has a distinct recovery meaning —
-// before/after a WAL append, around a snapshot rename, before a commit is
-// emitted — with a named Here() call. A test (or the check.sh crash matrix)
-// arms exactly one point via Arm("name@N"); the Nth time execution reaches
-// it the process exits immediately with ExitCode, simulating a kill at that
-// precise instant. Recovery is then exercised for real: the harness
-// restarts the process against the same state directory and requires output
-// byte-identical to an uninterrupted run.
+// before/after a WAL append, after a batch's write, around a snapshot
+// rename, before a commit is emitted — with a named Here() call. A test (or
+// the check.sh crash matrix) arms exactly one point via Arm("name@N"); the
+// Nth time execution reaches it the process exits immediately with
+// ExitCode, simulating a kill at that precise instant. Recovery is then
+// exercised for real: the harness restarts the process against the same
+// state directory and requires output byte-identical to an uninterrupted
+// run.
 //
 // Disarmed, every Here() is a single atomic load — the hooks stay compiled
 // into production builds, so the tested binary is the shipped binary.
@@ -31,8 +32,9 @@ const ExitCode = 86
 // streaming monitor marks. Tests range over it so a new boundary cannot be
 // added without joining the crash matrix.
 var Points = []string{
-	"wal.pre_append",       // frame accepted, nothing written yet
-	"wal.post_append",      // record written (and synced per policy), state not yet mutated
+	"wal.pre_append",       // frame taken in a batch, its record not yet staged
+	"wal.post_append",      // record staged (at a policy fsync point written and synced), state not yet mutated
+	"wal.post_write",       // batch written, none of its frames applied yet
 	"snapshot.pre_rename",  // snapshot temp file written+synced, rename pending
 	"snapshot.post_rename", // snapshot visible, old snapshots/WAL not yet truncated
 	"commit.pre_emit",      // result rendered, not yet committed/emitted

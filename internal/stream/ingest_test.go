@@ -102,18 +102,24 @@ func TestBlockedIngestRefusedOnDrain(t *testing.T) {
 
 	// Frame 0 schedules the first solve, which stalls. Frame 1 is buffered
 	// in pending; frame 2 falls due while that solve runs, so the control
-	// loop waits for it and stops reading the ring, which frames 3 and on
-	// then fill. The frame after those blocks.
+	// loop waits for it and stops reading the ring. It has taken frames 1
+	// and 2 in a batch of at most frameBatch; the frames after that batch
+	// fill the ring, and the next one blocks. The producer stops at its
+	// first refusal.
 	if !mon.Ingest(ingestFrame("a", 0)) {
 		t.Fatal("first frame refused")
 	}
 	<-solving
-	const total = ringSize + 4
+	const total = ringSize + frameBatch + 4
 	results := make(chan []bool, 1)
 	go func() {
 		var oks []bool
 		for i := 1; i < total; i++ {
-			oks = append(oks, mon.Ingest(ingestFrame("a", i)))
+			ok := mon.Ingest(ingestFrame("a", i))
+			oks = append(oks, ok)
+			if !ok {
+				break
+			}
 		}
 		results <- oks
 	}()

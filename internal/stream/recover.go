@@ -52,8 +52,8 @@ func (o DurabilityOptions) withDefaults() DurabilityOptions {
 // Durability is a monitor's crash-safety layer over one state directory:
 // the frame WAL plus periodic snapshots (DESIGN.md §13). OpenDurability
 // recovers whatever a previous process left behind; Recover seeds a monitor
-// from it; the monitor then calls appendFrame before applying each new
-// frame and writeSnapshot at quiescent points.
+// from it; the monitor then calls logBatch before applying each batch of
+// new frames and writeSnapshot at quiescent points.
 //
 // All append/snapshot methods run on the monitor's control goroutine;
 // Status is safe from any goroutine (the live /statusz plane).
@@ -88,6 +88,7 @@ type Durability struct {
 
 	cWALBytes   *obs.Counter
 	cWALAppends *obs.Counter
+	cWALWrites  *obs.Counter
 	cWALFsyncs  *obs.Counter
 	cWALErrors  *obs.Counter
 	cSnapshots  *obs.Counter
@@ -133,6 +134,7 @@ func OpenDurability(dir string, o DurabilityOptions) (*Durability, error) {
 		dir: dir, opts: o, snaps: snapPaths,
 		cWALBytes:   reg.Counter("stream.wal_bytes"),
 		cWALAppends: reg.Counter("stream.wal_appends"),
+		cWALWrites:  reg.Counter("stream.wal_writes"),
 		cWALFsyncs:  reg.Counter("stream.wal_fsyncs"),
 		cWALErrors:  reg.Counter("stream.wal_errors"),
 		cSnapshots:  reg.Counter("stream.snapshots_total"),
@@ -146,6 +148,7 @@ func OpenDurability(dir string, o DurabilityOptions) (*Durability, error) {
 		return nil, err
 	}
 	d.w = w
+	w.writes = d.cWALWrites
 	refuse := func(err error) (*Durability, error) {
 		_ = w.close()
 		return nil, err
@@ -280,64 +283,89 @@ func (d *Durability) fail(err error) {
 // ~6 MiB escaped) should not stay resident.
 const maxKeptRecordBuf = 64 << 10
 
-// appendFrame logs one accepted frame before the monitor applies it.
-// Called by handleFrame on the control goroutine for every frame past
-// baseSeq.
-func (d *Durability) appendFrame(seq uint64, f *Frame) {
-	d.mu.Lock()
-	failed := d.failed
-	d.mu.Unlock()
-	if failed {
+// testHookFsync, when set, receives the sequence of the record each policy
+// fsync follows. Never set outside tests.
+var testHookFsync func(seq uint64)
+
+// logBatch writes frames, which carry sequences first, first+1, ..., to the
+// WAL before the monitor applies any of them: it seals every record into the
+// WAL's staged buffer and writes the buffer with one call. The write splits
+// only where a record triggers a policy fsync (the records through it are
+// written and synced before the next is staged, so each fsync follows the
+// same record as with one write per frame) and where a segment rotates.
+// Frames at or below baseSeq are the recovery tail — already in the WAL or
+// covered by the snapshot — and are skipped. Control goroutine only.
+func (d *Durability) logBatch(first uint64, frames []Frame) {
+	// failed and sinceSync are written only on the control goroutine, so
+	// it reads them without d.mu; the lock orders its writes against Status.
+	if d.failed {
 		return
 	}
-	crashpointHere("wal.pre_append")
-	rec, err := appendFrame(append(d.rec[:0], make([]byte, walHeaderBytes)...), f)
-	if err != nil {
-		d.fail(fmt.Errorf("stream: encoding wal frame: %w", err))
-		return
+	sinceSync, logged, nbytes := d.sinceSync, 0, 0
+	var err error
+	for i := range frames {
+		seq := first + uint64(i)
+		if seq <= d.baseSeq {
+			continue
+		}
+		crashpointHere("wal.pre_append")
+		var rec []byte
+		if rec, err = appendFrame(append(d.rec[:0], make([]byte, walHeaderBytes)...), &frames[i]); err != nil {
+			err = fmt.Errorf("stream: encoding wal frame: %w", err)
+			break
+		}
+		if cap(rec) <= maxKeptRecordBuf {
+			d.rec = rec
+		}
+		var n int
+		if n, err = d.w.append(seq, rec); err != nil {
+			break
+		}
+		logged++
+		nbytes += n
+		sinceSync++
+		if d.opts.SyncPolicy == SyncAlways || (d.opts.SyncPolicy == SyncInterval && sinceSync >= d.opts.SyncEvery) {
+			if err = d.w.sync(); err != nil {
+				break
+			}
+			d.cWALFsyncs.Inc()
+			sinceSync = 0
+			if testHookFsync != nil {
+				testHookFsync(seq)
+			}
+		}
+		crashpointHere("wal.post_append")
 	}
-	if cap(rec) <= maxKeptRecordBuf {
-		d.rec = rec
+	if err == nil && logged > 0 {
+		err = d.w.flush()
 	}
-	n, err := d.w.append(seq, rec)
 	if err != nil {
 		d.fail(err)
 		return
 	}
-	d.cWALBytes.Add(int64(n))
-	d.cWALAppends.Inc()
-	sync := d.opts.SyncPolicy == SyncAlways
-	d.mu.Lock()
-	d.walBytes += int64(n)
-	d.sinceSync++
-	d.sinceSnap++
-	if d.opts.SyncPolicy == SyncInterval && d.sinceSync >= d.opts.SyncEvery {
-		sync = true
+	if logged == 0 {
+		return
 	}
-	d.mu.Unlock()
-	if sync {
-		if err := d.w.sync(); err != nil {
-			d.fail(err)
-			return
-		}
-		d.cWALFsyncs.Inc()
-		d.mu.Lock()
-		d.sinceSync = 0
-		d.mu.Unlock()
-	}
+	crashpointHere("wal.post_write")
+	d.cWALBytes.Add(int64(nbytes))
+	d.cWALAppends.Add(int64(logged))
 	d.mu.Lock()
+	d.walBytes += int64(nbytes)
+	d.sinceSync = sinceSync
+	d.sinceSnap += logged
 	d.gWALLag.Set(float64(d.sinceSync))
 	d.gSnapAge.Set(float64(d.sinceSnap))
 	d.mu.Unlock()
-	crashpointHere("wal.post_append")
 }
 
-// snapshotDue reports whether enough frames accumulated since the last
-// snapshot; the monitor then snapshots at its next quiescent point.
-func (d *Durability) snapshotDue() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return !d.failed && d.sinceSnap >= d.opts.SnapshotEvery
+// snapshotDue reports whether enough frames were applied since the last
+// snapshot, seq being the last applied; the monitor then snapshots at its
+// next quiescent point. It counts applied frames, not logged ones: a
+// snapshot taken inside a batch covers only the frames applied so far, and
+// the rest of the batch must not make the next one due at once.
+func (d *Durability) snapshotDue(seq uint64) bool {
+	// Written only on the control goroutine, which calls this: no lock.
+	return !d.failed && seq-d.lastSnapSeq >= uint64(d.opts.SnapshotEvery)
 }
 
 // writeSnapshot persists a snapshot, prunes old ones past snapKeep, and
@@ -393,10 +421,14 @@ func (d *Durability) writeSnapshot(s *Snapshot, final bool) {
 	d.keep = s.keepFrom()
 	d.mu.Lock()
 	d.lastSnapSeq = s.Seq
-	d.sinceSnap = 0
+	// Frames logged but not yet applied (the rest of the batch the
+	// snapshot was taken in, or recovery tail frames) are past the
+	// snapshot: they still count toward the next one. The sync above
+	// covered them, so no frame is owed an fsync.
+	d.sinceSnap = int(max(d.baseSeq, d.w.lastSeq) - s.Seq)
 	d.sinceSync = 0
 	d.walBytes = d.w.totalBytes()
-	d.gSnapAge.Set(0)
+	d.gSnapAge.Set(float64(d.sinceSnap))
 	d.gWALLag.Set(0)
 	d.mu.Unlock()
 }
@@ -472,8 +504,9 @@ type Recovered struct {
 // Recover starts a monitor seeded from the state directory: the snapshot
 // restores the committed results and the flow table, whose flows re-tap
 // their WAL frames, then the WAL tail frames are re-applied through the
-// normal ingest path (blocking — recovery never sheds). New frames append
-// to the WAL as usual; tail frames do not (they are already in it).
+// normal ingest path (blocking — recovery never sheds), batch by batch as
+// the control loop takes them. New frames append to the WAL as usual; tail
+// frames do not (they are already in it).
 func Recover(d *Durability, opts Options) *Recovered {
 	opts.Durable = d
 	m := newMonitor(opts)

@@ -103,9 +103,7 @@ func TestRecoverWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < k; i++ {
-		d.appendFrame(uint64(i+1), &frames[i])
-	}
+	d.logBatch(1, frames[:k])
 	// No close: the process "dies" here with the WAL as its only legacy.
 
 	opts := replayOpts(man, false)
@@ -128,6 +126,68 @@ func TestRecoverWALTail(t *testing.T) {
 	}
 }
 
+// TestWALGroupCommit pins the WAL's write unit: the control loop logs each
+// batch it takes from the ring with one write, split only where a policy
+// fsync falls, and each fsync follows the same record as it would with one
+// write per frame. The ring is filled before the control loop starts, so
+// every batch is a full frameBatch.
+func TestWALGroupCommit(t *testing.T) {
+	testleak.Check(t)
+	const n = 4 * frameBatch
+	every := func(k uint64) (seqs []uint64) {
+		for seq := k; seq <= n; seq += k {
+			seqs = append(seqs, seq)
+		}
+		return seqs
+	}
+	for _, c := range []struct {
+		sync    string
+		writes  int64
+		fsyncAt []uint64
+	}{
+		{"never", 4, nil},
+		{"interval:256", 4, every(256)},
+		// Batches 1..256, 257..512, 513..768 and 769..1024 split after
+		// 2, 3, 2 and 3 fsyncs.
+		{"interval:100", 4 + 10, every(100)},
+		{"always", n, every(1)},
+	} {
+		t.Run(c.sync, func(t *testing.T) {
+			policy, syncEvery, err := ParseSyncPolicy(c.sync)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.New(nil, nil)
+			d, err := OpenDurability(t.TempDir(), DurabilityOptions{
+				SyncPolicy: policy, SyncEvery: syncEvery, SnapshotEvery: 1 << 20, Obs: tr,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fsyncAt []uint64
+			testHookFsync = func(seq uint64) { fsyncAt = append(fsyncAt, seq) }
+			defer func() { testHookFsync = nil }()
+			opts := ingestOpts(ShedBlock, tr)
+			opts.Durable = d
+			mon := newMonitor(opts)
+			for i := 0; i < n; i++ {
+				mon.ring <- ingestFrame("a", i)
+			}
+			mon.start()
+			mon.Drain()
+
+			reg := tr.Metrics()
+			appends, writes := reg.Counter("stream.wal_appends").Value(), reg.Counter("stream.wal_writes").Value()
+			if appends != n || writes != c.writes {
+				t.Fatalf("%d appends in %d writes, want %d in %d", appends, writes, n, c.writes)
+			}
+			if !reflect.DeepEqual(fsyncAt, c.fsyncAt) {
+				t.Fatalf("policy fsyncs after records %v, want %v", fsyncAt, c.fsyncAt)
+			}
+		})
+	}
+}
+
 // TestRecoverCorruptWALSalvages pins the mid-log corruption path end to
 // end: a bit flip inside the WAL surfaces a structured warning, the valid
 // prefix replays, and re-feeding the lost suffix converges to the same
@@ -143,9 +203,7 @@ func TestRecoverCorruptWALSalvages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < k; i++ {
-		d.appendFrame(uint64(i+1), &frames[i])
-	}
+	d.logBatch(1, frames[:k])
 	segs, _ := filepath.Glob(filepath.Join(dir, walSegPrefix+"*"+walSegSuffix))
 	if len(segs) < 2 {
 		t.Fatalf("need >= 2 segments for a mid-log flip, got %d", len(segs))
@@ -196,9 +254,7 @@ func TestRecoverTornWALTailWarns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		d.appendFrame(uint64(i+1), &frames[i])
-	}
+	d.logBatch(1, frames[:3])
 	if _, err := d.w.f.Write([]byte{9, 9, 9}); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +290,7 @@ func TestRecoverUndecodableWALRecord(t *testing.T) {
 				}
 				continue
 			}
-			d.appendFrame(seq, &frames[seq-1])
+			d.logBatch(seq, frames[seq-1:seq])
 		}
 		d.close()
 	}
@@ -827,8 +883,11 @@ func TestCrashHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// SnapshotEvery is not a multiple of frameBatch, so snapshots land
+	// inside a batch, whose later frames are logged but not yet applied:
+	// a snapshot ahead of the WAL would be unanchored after the crash.
 	d, err := OpenDurability(os.Getenv(envStateDir), DurabilityOptions{
-		SyncPolicy: SyncInterval, SyncEvery: 64, SnapshotEvery: 512,
+		SyncPolicy: SyncInterval, SyncEvery: 64, SnapshotEvery: 500,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -890,10 +949,14 @@ func TestCrashMatrix(t *testing.T) {
 	}
 
 	// Mid-stream hits for the per-frame points; the second snapshot write,
-	// so one snapshot is already published; first hit for the rest.
+	// so one snapshot is already published; first hit for the rest. The
+	// per-batch point fires at least len(frames)/frameBatch times, so half
+	// that always fires; batches run full once the feed outpaces the
+	// control loop, so it lands near the middle of the stream.
 	hits := map[string]int{
 		"wal.pre_append":      len(frames) / 2,
 		"wal.post_append":     len(frames) / 2,
+		"wal.post_write":      len(frames) / (2 * frameBatch),
 		"snapshot.pre_rename": 2,
 	}
 

@@ -319,7 +319,7 @@ func (m *Monitor) restoreSnapshot(s *Snapshot, frames []Frame, from uint64) {
 // from any snapshot position converges to identical bytes.
 func (m *Monitor) maybeSnapshot() {
 	d := m.opts.Durable
-	if d == nil || !d.snapshotDue() {
+	if d == nil || !d.snapshotDue(m.seq) {
 		return
 	}
 	m.mu.Lock()

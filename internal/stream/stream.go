@@ -111,8 +111,12 @@ type Options struct {
 	OnResult func(Result)
 	// Durable, when non-nil, makes the monitor crash-safe: every accepted
 	// frame is WAL'd before it mutates the flow table, and quiescent
-	// points are snapshotted. Obtain via OpenDurability; seed a recovered
-	// monitor via Recover rather than New.
+	// points are snapshotted. The control loop logs each batch it takes
+	// from the ring with one write before applying its first frame; the
+	// write splits only at a -wal-sync fsync point or a segment rotation,
+	// so each fsync follows the same record as with one write per frame.
+	// Obtain via OpenDurability; seed a recovered monitor via Recover
+	// rather than New.
 	Durable *Durability
 }
 
@@ -210,6 +214,9 @@ type Monitor struct {
 	solveQ      []string
 	liveFlows   int // flows not yet finalizing
 	draining    bool
+	// batch holds the frames of the current take→log→apply step: taken
+	// from the ring and logged, applied in order (see applyBatch).
+	batch []Frame
 
 	// parked names the quarantined flows, for Status; non-nil (an empty
 	// JSON list rather than null) when QuarantineAfter is set. Guarded by mu.
@@ -397,8 +404,8 @@ func (m *Monitor) Status() any {
 
 // frameBatch bounds the frames the control loop takes from the ring per
 // pass of its select: after a frame arrives it takes up to frameBatch-1
-// more without waiting, then returns to the select, so solve completions
-// are still serviced when the ring never empties.
+// more without waiting, logs and applies them, then returns to the select,
+// so solve completions are still serviced when the ring never empties.
 const frameBatch = 256
 
 // run is the control goroutine: sole owner of the flow table and of every
@@ -409,18 +416,7 @@ func (m *Monitor) run() {
 		//csi-vet:ignore taint -- control select: frame handling and solve completions commute (a solving flow's trace is frozen; arrivals buffer in pending), and results commit strictly in finalization-sequence order, so the firing order never reaches an output
 		select {
 		case f := <-ring:
-			for n := 1; ; n++ {
-				m.handleFrame(f)
-				if n == frameBatch {
-					break
-				}
-				m.dispatch()
-				m.maybeSnapshot()
-				var ok bool
-				if f, ok = m.takeFrame(); !ok {
-					break
-				}
-			}
+			m.applyBatch(f, true)
 		case d := <-m.ctrl:
 			m.handleDone(d)
 		case <-drain:
@@ -435,6 +431,38 @@ func (m *Monitor) run() {
 			return
 		}
 	}
+}
+
+// applyBatch is the control loop's take→log→apply step, shared by the
+// select, the drain sweep and so by Recover's tail: it takes f and up to
+// frameBatch-1 more buffered frames from the ring, logs them all to the
+// WAL (one write unless an fsync point or a rotation splits it), and only
+// then applies them in order. So every frame is in the WAL before any
+// state it changes, and a crash loses only frames never applied — as it
+// loses the frames still in the ring. With service set it dispatches
+// queued solves and tries a due snapshot between frames, as the select
+// does between events.
+func (m *Monitor) applyBatch(f Frame, service bool) {
+	batch := append(m.batch[:0], f)
+	for len(batch) < frameBatch {
+		var ok bool
+		if f, ok = m.takeFrame(); !ok {
+			break
+		}
+		batch = append(batch, f)
+	}
+	if d := m.opts.Durable; d != nil {
+		d.logBatch(m.seq+1, batch)
+	}
+	for i := range batch {
+		if service && i > 0 {
+			m.dispatch()
+			m.maybeSnapshot()
+		}
+		m.handleFrame(&batch[i])
+	}
+	clear(batch) // drop the frames' strings; keep the backing array
+	m.batch = batch
 }
 
 // takeFrame receives the next buffered frame without waiting; ok is false
@@ -465,7 +493,7 @@ func (m *Monitor) beginDrain() {
 	m.ingestMu.Lock()
 	m.ingestMu.Unlock()
 	for f, ok := m.takeFrame(); ok; f, ok = m.takeFrame() {
-		m.handleFrame(f)
+		m.applyBatch(f, false)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -482,7 +510,9 @@ func (m *Monitor) beginDrain() {
 	}
 }
 
-func (m *Monitor) handleFrame(f Frame) {
+// handleFrame applies one frame, already logged when the monitor is
+// durable.
+func (m *Monitor) handleFrame(f *Frame) {
 	if m.opts.ShedPolicy == ShedBlock && m.opts.ResolveEvery > 0 && !m.opts.Params.Mux {
 		// The flow's next provisional solve is due at the prefix it already
 		// has: wait for the solve in flight rather than let this frame push
@@ -494,12 +524,6 @@ func (m *Monitor) handleFrame(f Frame) {
 	}
 	m.cFrames.Inc()
 	m.seq++
-	if d := m.opts.Durable; d != nil && m.seq > d.baseSeq {
-		// Write-ahead: the frame is durable before any state it mutates.
-		// Frames at or below baseSeq are the recovery tail — already in
-		// the WAL or covered by the snapshot.
-		d.appendFrame(m.seq, &f)
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 

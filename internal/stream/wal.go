@@ -8,14 +8,18 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"csi/internal/obs"
 )
 
 // The frame write-ahead log (DESIGN.md §13). Every frame the control
-// goroutine accepts is appended here *before* it mutates the flow table, so
-// a crash at any instant loses no applied state: recovery restores the last
-// snapshot, re-taps its live flows' packets from the WAL (the only copy of
-// them) and replays the WAL suffix, which regenerates the exact state — and
-// therefore the exact output bytes — of an uninterrupted run.
+// goroutine accepts is appended here *before* it mutates the flow table —
+// a control-loop batch at a time, the batch's records staged and written
+// with one write call before its first frame is applied — so a crash at any
+// instant loses no applied state: recovery restores the last snapshot,
+// re-taps its live flows' packets from the WAL (the only copy of them) and
+// replays the WAL suffix, which regenerates the exact state — and therefore
+// the exact output bytes — of an uninterrupted run.
 //
 // On-disk format: segments named wal-<firstSeq, 20 digits>.seg, rotated by
 // size. Each record is
@@ -36,9 +40,10 @@ const (
 	// against OS crash/power loss before it mutates any state.
 	SyncAlways = "always"
 	// SyncInterval fsyncs every SyncEvery records (and at rotation/close):
-	// bounded loss window against OS crash, one fsync per batch. Process
-	// kills lose nothing under any policy — completed writes survive in the
-	// page cache.
+	// bounded loss window against OS crash, one fsync per SyncEvery
+	// records. Process kills lose no applied frame under any policy —
+	// written records survive in the page cache, and a batch is written
+	// before any of its frames is applied.
 	SyncInterval = "interval"
 	// SyncNever leaves syncing to the OS between records (rotation, close
 	// and every snapshot still sync: finished segments are sealed, and a
@@ -107,9 +112,13 @@ type wal struct {
 	segBytes int64
 	segs     []walSeg
 	f        *os.File // open tail segment, nil until the first append
-	size     int64    // bytes in the open segment
+	size     int64    // bytes in the open segment, staged records included
 	lastSeq  uint64
 	closed   bool
+	// staged holds the sealed records appended since the last write, bound
+	// for the open segment; flush writes them with one write call.
+	staged []byte
+	writes *obs.Counter // stream.wal_writes; nil outside a Durability
 }
 
 // seqName names a state file: prefix, a sequence zero-padded to 20 digits
@@ -286,10 +295,18 @@ func sealWALRecord(rec []byte, seq uint64) {
 	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
 }
 
-// append seals and writes one record: rec is the payload behind
-// walHeaderBytes reserved bytes, whose header is filled in place (so the
-// caller can build records in one reused buffer). Rotation happens before
-// the write, so a record never spans segments. Returns the bytes written.
+// maxKeptStaged caps the staged buffer a WAL keeps between writes: a full
+// batch of real frames stages under 100 KiB, and a batch of oversized
+// frames should not stay resident.
+const maxKeptStaged = 1 << 20
+
+// append seals one record and stages it behind the records appended since
+// the last write: rec is the payload behind walHeaderBytes reserved bytes,
+// whose header is filled in place (so the caller can build records in one
+// reused buffer). Nothing reaches the segment until flush, which sync,
+// rotate, truncateThrough and close call first. Rotation happens before
+// the record is staged, so a record never spans segments. Returns the
+// record's size in bytes.
 func (w *wal) append(seq uint64, rec []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("stream: append to closed wal")
@@ -303,11 +320,8 @@ func (w *wal) append(seq uint64, rec []byte) (int, error) {
 		}
 	}
 	sealWALRecord(rec, seq)
-	n, err := w.f.Write(rec)
-	w.size += int64(n)
-	if err != nil {
-		return n, fmt.Errorf("stream: wal append seq %d: %w", seq, err)
-	}
+	w.staged = append(w.staged, rec...)
+	w.size += int64(len(rec))
 	w.lastSeq = seq
 	seg := &w.segs[len(w.segs)-1]
 	if seg.first == 0 {
@@ -315,13 +329,33 @@ func (w *wal) append(seq uint64, rec []byte) (int, error) {
 	}
 	seg.last = seq
 	seg.size = w.size
-	return n, nil
+	return len(rec), nil
+}
+
+// flush writes the staged records to the open segment with one write call.
+func (w *wal) flush() error {
+	if len(w.staged) == 0 {
+		return nil
+	}
+	_, err := w.f.Write(w.staged)
+	w.writes.Inc()
+	w.staged = w.staged[:0]
+	if cap(w.staged) > maxKeptStaged {
+		w.staged = nil
+	}
+	if err != nil {
+		return fmt.Errorf("stream: wal write through seq %d: %w", w.lastSeq, err)
+	}
+	return nil
 }
 
 // rotate seals the open segment (synced — a finished segment is always
 // durable) and starts a new one named after the next record.
 func (w *wal) rotate(firstSeq uint64) error {
 	if w.f != nil {
+		if err := w.flush(); err != nil {
+			return err
+		}
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("stream: syncing sealed wal segment: %w", err)
 		}
@@ -341,9 +375,13 @@ func (w *wal) rotate(firstSeq uint64) error {
 	return nil
 }
 
+// sync writes the staged records and fsyncs the open segment.
 func (w *wal) sync() error {
 	if w.f == nil {
 		return nil
+	}
+	if err := w.flush(); err != nil {
+		return err
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("stream: wal fsync: %w", err)
@@ -354,8 +392,11 @@ func (w *wal) sync() error {
 // truncateThrough removes every segment whose records all lie at or below
 // seq — the prefix no durable snapshot needs any more. The open tail
 // segment is closed and removed too when fully covered (the next append
-// starts a fresh segment).
+// starts a fresh segment). Staged records are written first.
 func (w *wal) truncateThrough(seq uint64) error {
+	if err := w.flush(); err != nil {
+		return err
+	}
 	kept := w.segs[:0]
 	for i := range w.segs {
 		seg := w.segs[i]
@@ -378,8 +419,8 @@ func (w *wal) truncateThrough(seq uint64) error {
 	return nil
 }
 
-// close seals the WAL: a final sync (crash-consistency of the last records)
-// and close. Idempotent.
+// close seals the WAL: a final write and sync (crash-consistency of the
+// last records) and close. Idempotent.
 func (w *wal) close() error {
 	if w.closed {
 		return nil
@@ -387,6 +428,9 @@ func (w *wal) close() error {
 	w.closed = true
 	if w.f == nil {
 		return nil
+	}
+	if err := w.flush(); err != nil {
+		return err
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("stream: syncing wal at close: %w", err)

@@ -60,12 +60,17 @@ func openWALDir(t *testing.T, dir string, segBytes int64) (*wal, []walRecord, bo
 	return w, recs, torn, corrupt
 }
 
+// appendSeqs appends records from through through and writes them out:
+// append only stages a record, and the callers read the segment back.
 func appendSeqs(t *testing.T, w *wal, from, through uint64) {
 	t.Helper()
 	for seq := from; seq <= through; seq++ {
 		if _, err := w.append(seq, encodeWALRecord(seq, []byte(fmt.Sprintf(`{"seq":%d}`, seq)))); err != nil {
 			t.Fatalf("append seq %d: %v", seq, err)
 		}
+	}
+	if err := w.flush(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -217,14 +217,17 @@ echo "== crash-recovery matrix (kill -> recover -> byte-identical)"
 # the baseline: a durable uninterrupted run must itself match the
 # non-durable replay — -state-dir can never perturb output. Under -quick
 # only the two highest-value points run (a mid-stream WAL append and the
-# published-snapshot boundary); the full matrix covers all six.
+# published-snapshot boundary); the full matrix covers all seven.
+# wal.post_write fires once per control-loop batch of at most 256 frames,
+# so hit n/512 always fires, and in the middle of the stream once the
+# replay feed keeps the batches full.
 go build -o "$obstmp/csi-monitord" ./cmd/csi-monitord
 n=$(wc -l < "$obstmp/frames.jsonl")
 "$obstmp/csi-monitord" -manifest "$obstmp/man.json" -resolve-every 500 \
     -state-dir "$obstmp/durable-clean" -snapshot-every 8192 \
     -replay "$obstmp/frames.jsonl" -o "$obstmp/durable.jsonl" 2> /dev/null
 cmp "$obstmp/durable.jsonl" "$obstmp/replay.jsonl"
-crashpoints="wal.pre_append@$((n / 3)) wal.post_append@$((n / 2)) snapshot.pre_rename snapshot.post_rename commit.pre_emit drain.pre_snapshot"
+crashpoints="wal.pre_append@$((n / 3)) wal.post_append@$((n / 2)) wal.post_write@$((n / 512)) snapshot.pre_rename snapshot.post_rename commit.pre_emit drain.pre_snapshot"
 if [ "$QUICK" = 1 ]; then
     crashpoints="wal.post_append@$((n / 2)) snapshot.post_rename"
 fi
