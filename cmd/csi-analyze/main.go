@@ -12,12 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"time"
 
 	"csi/internal/core"
 	"csi/internal/faults"
@@ -30,6 +28,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "csi-analyze:", err)
+		os.Exit(1)
+	}
+}
+
+// run does the work of main and returns its first error, so the deferred
+// flush of every observability output runs on every exit path.
+func run() (err error) {
 	var (
 		manifest = flag.String("manifest", "", "manifest file (.json, .mpd or .m3u8)")
 		runPath  = flag.String("run", "", "run file from csi-run (.json or .bin) or a .pcap capture")
@@ -49,57 +56,40 @@ func main() {
 		serve    = flag.String("serve", "", "serve the live ops plane (/metrics, /statusz, /events, pprof) on this address; port 0 binds a free port")
 	)
 	flag.Parse()
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, "csi-analyze:", err)
-		os.Exit(1)
-	}
 	if *manifest == "" || *runPath == "" {
-		die(fmt.Errorf("-manifest and -run are required"))
+		return fmt.Errorf("-manifest and -run are required")
 	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			die(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			die(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "csi-analyze:", err)
-			}
-		}()
+	halfCache := core.NewHalfCache(*cacheMB << 20)
+	ops, err := live.Setup(live.Config{
+		Program: "csi-analyze", Serve: *serve, TraceOut: *traceOut, Metrics: *metrics,
+		CPUProfile: *cpuProf, MemProfile: *memProf,
+		Extra: []*obs.Registry{halfCache.Registry()},
+	})
+	if err != nil {
+		return err
 	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "csi-analyze:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile reflects retained memory
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "csi-analyze:", err)
-			}
-		}()
-	}
+	defer func() { err = errors.Join(err, ops.Close()) }()
+	ops.Server.SetStatus("analysis", func() any {
+		return map[string]any{"manifest": *manifest, "run": *runPath, "mux": *mux}
+	})
+	ops.Server.SetReady(true)
+
 	man, err := media.LoadManifestFile(*manifest, *host)
 	if err != nil {
-		die(err)
+		return err
 	}
 	run, err := pcap.LoadRun(*runPath)
 	if err != nil {
-		die(err)
+		return err
 	}
 	fspec, err := faults.ParseSpec(*faultStr)
 	if err != nil {
-		die(err)
+		return err
 	}
-	p := core.Params{MediaHost: *host, Mux: *mux, Degrade: *degrade || fspec.Enabled()}
-	halfCache := core.NewHalfCache(*cacheMB << 20)
-	p.HalfCache = halfCache
+	p := core.Params{
+		MediaHost: *host, Mux: *mux, Degrade: *degrade || fspec.Enabled(),
+		HalfCache: halfCache, Obs: ops.Tracer, Stages: ops.Server.StageTimer(),
+	}
 	if *budget > 0 || *deadline > 0 {
 		p.Guard = guard.New(*budget).WithDeadline(guard.WallClock(), *deadline)
 	}
@@ -109,37 +99,6 @@ func main() {
 	if *display {
 		p.Display = run.Display
 	}
-	var sink *obs.Collector
-	var sinks []obs.Sink
-	if *traceOut != "" || *metrics != "" {
-		sink = obs.NewCollector()
-		sinks = append(sinks, sink)
-	}
-	var ring *live.Ring
-	if *serve != "" {
-		ring = live.NewRing(4096)
-		sinks = append(sinks, ring)
-	}
-	if fan := obs.Fanout(sinks...); fan != nil {
-		p.Obs = obs.New(nil, fan)
-	}
-	if *serve != "" {
-		srv, err := live.Start(live.Options{
-			Addr: *serve, Program: "csi-analyze",
-			Registry: p.Obs.Metrics(), Ring: ring,
-			Extra: []*obs.Registry{halfCache.Registry()},
-		})
-		if err != nil {
-			die(err)
-		}
-		defer func() { _ = srv.Shutdown(2 * time.Second) }()
-		srv.SetStatus("analysis", func() any {
-			return map[string]any{"manifest": *manifest, "run": *runPath, "mux": *mux}
-		})
-		p.Stages = srv.StageTimer()
-		fmt.Fprintln(os.Stderr, "csi-analyze: ops plane on http://"+srv.Addr())
-		srv.SetReady(true)
-	}
 	if fspec.Enabled() {
 		impaired, frep := faults.Apply(run, fspec, p.Obs)
 		run = impaired
@@ -148,18 +107,11 @@ func main() {
 			frep.WindowDropped, frep.LossDropped, frep.Duplicated, frep.Clipped, frep.CrossPackets)
 	}
 	inf, err := core.Infer(man, run.Trace, p)
-	if *traceOut != "" {
-		if werr := obs.WriteTraceFile(*traceOut, sink.Records()); werr != nil {
-			die(werr)
-		}
-	}
-	if *metrics != "" {
-		if werr := obs.WriteMetricsFile(*metrics, p.Obs.Metrics()); werr != nil {
-			die(werr)
-		}
-	}
 	if err != nil {
-		die(err)
+		return err
+	}
+	if err := ops.Flush(); err != nil {
+		return err
 	}
 
 	if inf.Mux {
@@ -215,7 +167,7 @@ func main() {
 		}
 		rep, err := qoe.Analyze(chunks, qoe.Config{ChunkDur: man.ChunkDur, TolerateGaps: p.Degrade})
 		if err != nil {
-			die(err)
+			return err
 		}
 		fmt.Printf("QoE (from inferred sequence): startup %.1fs, %d stalls (%.1fs), %.1f MB data\n",
 			rep.StartupDelay, len(rep.Stalls), rep.StallTime, float64(rep.DataBytes)/1e6)
@@ -230,4 +182,5 @@ func main() {
 		}
 		fmt.Println()
 	}
+	return nil
 }

@@ -28,7 +28,6 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"csi/internal/capture"
 	"csi/internal/core"
@@ -42,6 +41,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "csi-monitord:", err)
+		os.Exit(1)
+	}
+}
+
+// run does the work of main and returns its first error, so the deferred
+// output-file close and ops-plane shutdown run on every exit path.
+func run() (err error) {
 	var (
 		manifest  = flag.String("manifest", "", "manifest file (.json, .mpd or .m3u8); required except with -pack")
 		mux       = flag.Bool("mux", false, "transport multiplexing analysis (SQ designs)")
@@ -63,22 +71,18 @@ func main() {
 		snapEvery = flag.Int("snapshot-every", 4096, "attempt a state snapshot after this many WAL'd frames (at the next quiescent point)")
 	)
 	flag.Parse()
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, "csi-monitord:", err)
-		os.Exit(1)
-	}
 
 	// Crash injection (tests and the check.sh crash matrix only): the env
 	// read stays in the command so internal/stream remains clock- and
 	// env-free for csi-vet.
 	if err := crashpoint.Arm(os.Getenv("CSI_CRASHPOINT")); err != nil {
-		die(err)
+		return err
 	}
 
 	durable := *stateDir != ""
 	liveMode := *replay == ""
 	if durable && (*batch != "" || *pack) {
-		die(fmt.Errorf("-state-dir needs the monitor (live or -replay); -batch and -pack are one-shot"))
+		return fmt.Errorf("-state-dir needs the monitor (live or -replay); -batch and -pack are one-shot")
 	}
 
 	output := io.Writer(os.Stdout)
@@ -95,7 +99,7 @@ func main() {
 			f, err = os.Create(*out)
 		}
 		if err != nil {
-			die(err)
+			return err
 		}
 		defer func() {
 			if err := f.Close(); err != nil {
@@ -106,20 +110,17 @@ func main() {
 	}
 
 	if *pack {
-		if err := packRuns(flag.Args(), output); err != nil {
-			die(err)
-		}
-		return
+		return packRuns(flag.Args(), output)
 	}
 	if *manifest == "" {
-		die(fmt.Errorf("-manifest is required"))
+		return fmt.Errorf("-manifest is required")
 	}
 	man, err := media.LoadManifestFile(*manifest, *host)
 	if err != nil {
-		die(err)
+		return err
 	}
 	if *replay != "" && *batch != "" {
-		die(fmt.Errorf("-replay and -batch are mutually exclusive"))
+		return fmt.Errorf("-replay and -batch are mutually exclusive")
 	}
 
 	p := core.Params{MediaHost: *host, Mux: *mux, Degrade: true}
@@ -143,19 +144,16 @@ func main() {
 	if *batch != "" {
 		frames, err := loadFrames(*batch)
 		if err != nil {
-			die(err)
+			return err
 		}
-		if err := stream.WriteResults(output, stream.Batch(frames, opts)); err != nil {
-			die(err)
-		}
-		return
+		return stream.WriteResults(output, stream.Batch(frames, opts))
 	}
 
 	var input io.Reader = os.Stdin
 	if !liveMode {
 		f, err := os.Open(*replay)
 		if err != nil {
-			die(err)
+			return err
 		}
 		defer f.Close()
 		input = f
@@ -169,24 +167,21 @@ func main() {
 	}
 
 	// The monitor's stream.* counters live in this tracer's registry; the
-	// live plane serves it read-only on /metrics.
-	opts.Obs = obs.New(nil, nil)
-	var srv *live.Server
-	if *serve != "" {
-		ring := live.NewRing(4096)
-		opts.Obs = obs.New(nil, ring)
-		srv, err = live.Start(live.Options{
-			Addr: *serve, Program: "csi-monitord",
-			Registry: opts.Obs.Metrics(), Ring: ring,
-			Extra: []*obs.Registry{halfCache.Registry()},
-		})
-		if err != nil {
-			die(err)
-		}
-		defer func() { _ = srv.Shutdown(2 * time.Second) }()
-		opts.Params.Stages = srv.StageTimer()
-		fmt.Fprintln(os.Stderr, "csi-monitord: ops plane on http://"+srv.Addr())
+	// live plane serves it read-only on /metrics. Without -serve the
+	// tracer only keeps that registry.
+	ops, err := live.Setup(live.Config{
+		Program: "csi-monitord", Serve: *serve,
+		Extra: []*obs.Registry{halfCache.Registry()},
+	})
+	if err != nil {
+		return err
 	}
+	defer func() { err = errors.Join(err, ops.Close()) }()
+	opts.Obs = ops.Tracer
+	if opts.Obs == nil {
+		opts.Obs = obs.New(nil, nil)
+	}
+	opts.Params.Stages = ops.Server.StageTimer()
 
 	// Open the durability layer before the monitor: recovery needs the
 	// restored-result count to dedupe the live output stream, and OnResult
@@ -195,13 +190,13 @@ func main() {
 	if durable {
 		policy, every, err := stream.ParseSyncPolicy(*walSync)
 		if err != nil {
-			die(err)
+			return err
 		}
 		dur, err = stream.OpenDurability(*stateDir, stream.DurabilityOptions{
 			SyncPolicy: policy, SyncEvery: every, SnapshotEvery: *snapEvery, Obs: opts.Obs,
 		})
 		if err != nil {
-			die(err)
+			return err
 		}
 	}
 
@@ -246,13 +241,11 @@ func main() {
 	} else {
 		mon = stream.New(opts)
 	}
-	if srv != nil {
-		srv.SetStatus("monitor", mon.Status)
-		if dur != nil {
-			srv.SetStatus("durability", dur.Status)
-		}
-		srv.SetReady(true)
+	ops.Server.SetStatus("monitor", mon.Status)
+	if dur != nil {
+		ops.Server.SetStatus("durability", dur.Status)
 	}
+	ops.Server.SetReady(true)
 
 	// The reader feeds the monitor until EOF or a termination signal; the
 	// signal path stops ingestion and drains every live flow to a final
@@ -300,15 +293,10 @@ func main() {
 	results := mon.Drain()
 	if !liveMode {
 		if err := stream.WriteResults(output, results); err != nil {
-			die(err)
+			return err
 		}
 	}
-	if srv != nil {
-		srv.SetReady(false)
-	}
-	if firstErr != nil {
-		die(firstErr)
-	}
+	return firstErr
 }
 
 // openDurableOutput opens a durable live run's output file preserving the

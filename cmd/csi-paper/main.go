@@ -9,12 +9,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -78,8 +77,8 @@ func main() {
 }
 
 // run does the work of main and returns its first error, so the deferred
-// profile flush and ops-plane shutdown run on every exit path.
-func run() error {
+// flush of every observability output runs on every exit path.
+func run() (err error) {
 	scale := flag.String("scale", "quick", "experiment scale: quick or full")
 	traceOut := flag.String("trace-out", "", "write an execution trace of the experiments (.jsonl = JSONL events, else Chrome trace format); runs execute concurrently, so record order is not deterministic")
 	metrics := flag.String("metrics", "", "write an aggregate text metrics dump to this path (\"-\" = stdout)")
@@ -112,95 +111,39 @@ func run() error {
 		return fmt.Errorf("unknown scale %s", *scale)
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "csi-paper:", err)
-			}
-		}()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "csi-paper:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile reflects retained memory
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "csi-paper:", err)
-			}
-		}()
-	}
-	var sink *obs.Collector
-	if *traceOut != "" || *metrics != "" {
-		sink = obs.NewCollector()
-	}
-	var ring *live.Ring
-	var sinks []obs.Sink
-	if sink != nil {
-		sinks = append(sinks, sink)
-	}
-	if *serve != "" {
-		ring = live.NewRing(4096)
-		sinks = append(sinks, ring)
-	}
-	if fan := obs.Fanout(sinks...); fan != nil {
-		sc.Obs = obs.New(nil, fan)
-	}
 	sc.WorkBudget = *budget
 	sc.DeadlineSec = *deadline
 	sc.HalfCache = core.NewHalfCache(*cacheMB << 20)
-
-	// -serve: start the live ops plane. It only ever reads snapshots of the
-	// experiment registry, so -metrics/-trace-out outputs stay byte-identical
-	// with and without it.
-	var srv *live.Server
+	// -serve only ever reads snapshots of the experiment registry, so
+	// -metrics/-trace-out outputs stay byte-identical with and without it.
+	ops, err := live.Setup(live.Config{
+		Program: "csi-paper", Serve: *serve, TraceOut: *traceOut, Metrics: *metrics,
+		CPUProfile: *cpuProf, MemProfile: *memProf,
+		Extra: []*obs.Registry{sc.HalfCache.Registry()},
+	})
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, ops.Close()) }()
+	sc.Obs = ops.Tracer
+	sc.Stages = ops.Server.StageTimer()
 	var current sync.Map // "experiment" -> name
-	if *serve != "" {
-		var err error
-		srv, err = live.Start(live.Options{
-			Addr: *serve, Program: "csi-paper",
-			Registry: sc.Obs.Metrics(), Ring: ring,
-			Extra: []*obs.Registry{sc.HalfCache.Registry()},
-		})
-		if err != nil {
+	ops.Server.SetStatus("guard", func() any {
+		return map[string]any{"work_budget": *budget, "deadline_sec": *deadline}
+	})
+	ops.Server.SetStatus("run", func() any {
+		doc := map[string]any{"scale": *scale}
+		if name, ok := current.Load("experiment"); ok {
+			doc["experiment"] = name
+		}
+		return doc
+	})
+	if *serveAddrFile != "" && ops.Server != nil {
+		if err := os.WriteFile(*serveAddrFile, []byte(ops.Server.Addr()+"\n"), 0o644); err != nil {
 			return err
 		}
-		defer func() {
-			if err := srv.Shutdown(2 * time.Second); err != nil {
-				fmt.Fprintln(os.Stderr, "csi-paper: ops shutdown:", err)
-			}
-		}()
-		srv.SetStatus("guard", func() any {
-			return map[string]any{"work_budget": *budget, "deadline_sec": *deadline}
-		})
-		srv.SetStatus("run", func() any {
-			doc := map[string]any{"scale": *scale}
-			if name, ok := current.Load("experiment"); ok {
-				doc["experiment"] = name
-			}
-			return doc
-		})
-		sc.Stages = srv.StageTimer()
-		if *serveAddrFile != "" {
-			if err := os.WriteFile(*serveAddrFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintln(os.Stderr, "csi-paper: ops plane on http://"+srv.Addr())
-		srv.SetReady(true)
 	}
+	ops.Server.SetReady(true)
 
 	// First SIGINT drains gracefully: in-flight runs are cancelled via their
 	// guards and whatever completed still renders. A second SIGINT kills the
@@ -225,16 +168,6 @@ func run() error {
 		}
 		fmt.Println(tab.String())
 		fmt.Printf("[%s completed in %.1fs]\n\n", name, time.Since(start).Seconds())
-	}
-	if *traceOut != "" {
-		if err := obs.WriteTraceFile(*traceOut, sink.Records()); err != nil {
-			return err
-		}
-	}
-	if *metrics != "" {
-		if err := obs.WriteMetricsFile(*metrics, sc.Obs.Metrics()); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -10,24 +10,32 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"csi/internal/abr"
 	"csi/internal/faults"
 	"csi/internal/guard"
 	"csi/internal/media"
 	"csi/internal/netem"
-	"csi/internal/obs"
 	"csi/internal/obs/live"
 	"csi/internal/pcap"
 	"csi/internal/session"
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "csi-run:", err)
+		os.Exit(1)
+	}
+}
+
+// run does the work of main and returns its first error, so the deferred
+// flush of every observability output runs on every exit path.
+func run() (err error) {
 	var (
 		manifest = flag.String("manifest", "", "manifest file (.json, .mpd or .m3u8)")
 		host     = flag.String("host", "media.example.com", "media host for non-JSON manifests")
@@ -49,25 +57,20 @@ func main() {
 		serve    = flag.String("serve", "", "serve the live ops plane (/metrics, /statusz, /events, pprof) on this address; port 0 binds a free port")
 	)
 	flag.Parse()
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, "csi-run:", err)
-		os.Exit(1)
-	}
-
 	if *manifest == "" {
-		die(fmt.Errorf("-manifest is required"))
+		return fmt.Errorf("-manifest is required")
 	}
 	man, err := media.LoadManifestFile(*manifest, *host)
 	if err != nil {
-		die(err)
+		return err
 	}
 	d, err := session.ParseDesign(*design)
 	if err != nil {
-		die(err)
+		return err
 	}
 	a, err := abr.ByName(*algo)
 	if err != nil {
-		die(err)
+		return err
 	}
 	var trace *netem.BandwidthTrace
 	switch {
@@ -78,7 +81,7 @@ func main() {
 			Seed: *cellular, MeanBps: *mean * 1e6, Variability: *varia,
 		})
 	default:
-		die(fmt.Errorf("one of -bandwidth or -cellular is required"))
+		return fmt.Errorf("one of -bandwidth or -cellular is required")
 	}
 	cfg := session.Config{
 		Design:    d,
@@ -92,50 +95,32 @@ func main() {
 	if *shRate > 0 {
 		cfg.Shaper = &netem.TokenBucketConfig{RateBps: *shRate * 1e6, BucketSize: *shBucket}
 	}
-	var sink *obs.Collector
-	var sinks []obs.Sink
-	if *traceOut != "" || *metrics != "" {
-		sink = obs.NewCollector()
-		sinks = append(sinks, sink)
+	ops, err := live.Setup(live.Config{
+		Program: "csi-run", Serve: *serve, TraceOut: *traceOut, Metrics: *metrics,
+	})
+	if err != nil {
+		return err
 	}
-	var ring *live.Ring
-	if *serve != "" {
-		ring = live.NewRing(4096)
-		sinks = append(sinks, ring)
-	}
-	if fan := obs.Fanout(sinks...); fan != nil {
-		cfg.Obs = obs.New(nil, fan)
-	}
-	if *serve != "" {
-		srv, err := live.Start(live.Options{
-			Addr: *serve, Program: "csi-run",
-			Registry: cfg.Obs.Metrics(), Ring: ring,
-		})
-		if err != nil {
-			die(err)
+	defer func() { err = errors.Join(err, ops.Close()) }()
+	cfg.Obs = ops.Tracer
+	ops.Server.SetStatus("session", func() any {
+		return map[string]any{
+			"design": *design, "algo": *algo, "duration_sec": *duration, "seed": *seed,
 		}
-		defer func() { _ = srv.Shutdown(2 * time.Second) }()
-		srv.SetStatus("session", func() any {
-			return map[string]any{
-				"design": *design, "algo": *algo, "duration_sec": *duration, "seed": *seed,
-			}
-		})
-		fmt.Fprintln(os.Stderr, "csi-run: ops plane on http://"+srv.Addr())
-		srv.SetReady(true)
-	}
+	})
+	ops.Server.SetReady(true)
 	fspec, err := faults.ParseSpec(*faultStr)
 	if err != nil {
-		die(err)
+		return err
 	}
 	// Contain simulator panics as typed errors so a poisoned configuration
 	// reports a stack through the normal error path instead of crashing.
-	run := func() (res *session.Result, err error) {
+	res, err := func() (res *session.Result, err error) {
 		defer guard.Capture(&err)
 		return session.Run(cfg)
-	}
-	res, err := run()
+	}()
 	if err != nil {
-		die(err)
+		return err
 	}
 	if fspec.Enabled() {
 		impaired, frep := faults.Apply(res.Run, fspec, cfg.Obs)
@@ -144,15 +129,8 @@ func main() {
 			fspec, frep.Input, frep.Output,
 			frep.WindowDropped, frep.LossDropped, frep.Duplicated, frep.Clipped, frep.CrossPackets)
 	}
-	if *traceOut != "" {
-		if err := obs.WriteTraceFile(*traceOut, sink.Records()); err != nil {
-			die(err)
-		}
-	}
-	if *metrics != "" {
-		if err := obs.WriteMetricsFile(*metrics, cfg.Obs.Metrics()); err != nil {
-			die(err)
-		}
+	if err := ops.Flush(); err != nil {
+		return err
 	}
 	save := res.Run.SaveJSON
 	switch {
@@ -173,9 +151,10 @@ func main() {
 		}
 	}
 	if err := save(*out); err != nil {
-		die(err)
+		return err
 	}
 	fmt.Printf("wrote %s: %d packets captured, %d video + %d audio chunks downloaded, %d stalls, %.1f MB downlink\n",
 		*out, len(res.Run.Trace.Packets), res.Stats.VideoChunks, res.Stats.AudioChunks,
 		res.Stats.Stalls, float64(res.Stats.DownlinkBytes)/1e6)
+	return nil
 }

@@ -17,7 +17,6 @@
 //	-list            list registered rules and exit
 //	-rules a,b       run only the named rules
 //	-format f        output format: text (default), json, or sarif
-//	-json            shorthand for -format json
 //	-strict-ignores  fail (exit 1) when a suppression is stale
 //	-parallel n      per-package analysis workers (default GOMAXPROCS)
 //
@@ -41,14 +40,10 @@ func main() {
 		list     = flag.Bool("list", false, "list registered rules and exit")
 		rules    = flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 		format   = flag.String("format", "text", "output format: text, json, or sarif")
-		jsonFlag = flag.Bool("json", false, "shorthand for -format json")
 		strict   = flag.Bool("strict-ignores", false, "exit nonzero when a suppression no longer suppresses anything")
 		parallel = flag.Int("parallel", 0, "per-package analysis workers (default GOMAXPROCS)")
 	)
 	flag.Parse()
-	if *jsonFlag {
-		*format = "json"
-	}
 	switch *format {
 	case "text", "json", "sarif":
 	default:

@@ -314,12 +314,6 @@ func Run(mod *Module, azs []*Analyzer, cfg *Config, workers int) *Result {
 	return res
 }
 
-// RunAnalyzers is the historical single-threaded entry point: findings
-// only, no suppression audit.
-func RunAnalyzers(pkgs []*Package, azs []*Analyzer, cfg *Config) []Diagnostic {
-	return Run(NewModule(pkgs), azs, cfg, 1).Diags
-}
-
 func sortDiagnostics(out []Diagnostic) []Diagnostic {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -28,7 +28,8 @@
 //
 // Zero-overhead off path. A nil *Server is fully inert: every method
 // no-ops, StageTimer() returns the nil interface the core checks with a
-// single comparison, and no ring sink exists to receive records. Binaries
+// single comparison, and no ring sink exists to receive records; with no
+// output configured at all, Setup returns the nil tracer as well. Binaries
 // run without -serve pay exactly what they paid before the plane existed
 // (benchmarked by BenchmarkNilStageTimer in bench_test.go).
 package live
@@ -155,19 +156,14 @@ func (s *Server) SetReady(ready bool) {
 	}
 }
 
-// SetStatus registers (or, with a nil fn, removes) a named /statusz
-// section; fn is invoked at render time and its result JSON-marshalled.
-// Nil-safe.
+// SetStatus registers a named /statusz section; fn is invoked at render
+// time and its result JSON-marshalled. Nil-safe.
 func (s *Server) SetStatus(section string, fn func() any) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if fn == nil {
-		delete(s.sections, section)
-	} else {
-		s.sections[section] = fn
-	}
+	s.sections[section] = fn
 	s.mu.Unlock()
 }
 

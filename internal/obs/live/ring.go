@@ -7,8 +7,8 @@ import (
 )
 
 // Ring is a bounded, concurrency-safe ring buffer of obs records with a
-// monotonic sequence number per record. It implements obs.Sink, so cmds
-// fan the tracer's record stream into it (obs.Fanout) alongside the
+// monotonic sequence number per record. It implements obs.Sink, so Setup
+// fans the tracer's record stream into it (obs.Fanout) alongside the
 // regular collector; the /events SSE endpoint tails it. When the buffer is
 // full the oldest records are dropped — a live tail is a window, not an
 // archive; the JSONL/Chrome exporters remain the lossless path.

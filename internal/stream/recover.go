@@ -23,14 +23,16 @@ type DurabilityOptions struct {
 	// SyncEvery is the fsync cadence in frames under SyncInterval
 	// (default 256).
 	SyncEvery int
-	// SegmentBytes rotates WAL segments at this size (default 8 MiB).
-	SegmentBytes int64
 	// SnapshotEvery attempts a snapshot after this many WAL'd frames
 	// (default 4096); the snapshot lands at the next quiescent point.
 	SnapshotEvery int
 	// Obs receives the durability counters and gauges (stream.wal_*,
 	// stream.snapshot*, stream.recoveries_total); nil disables.
 	Obs *obs.Tracer
+
+	// segmentBytes rotates WAL segments at this size (default 8 MiB); only
+	// tests shrink it, to force rotation.
+	segmentBytes int64
 }
 
 func (o DurabilityOptions) withDefaults() DurabilityOptions {
@@ -40,8 +42,8 @@ func (o DurabilityOptions) withDefaults() DurabilityOptions {
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = defaultSyncEvery
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = defaultSegmentBytes
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = defaultSegmentBytes
 	}
 	if o.SnapshotEvery <= 0 {
 		o.SnapshotEvery = 4096
@@ -143,7 +145,7 @@ func OpenDurability(dir string, o DurabilityOptions) (*Durability, error) {
 		gWALLag:     reg.Gauge("stream.wal_lag_frames"),
 	}
 
-	w, torn, corrupt, err := openWAL(dir, segPaths, o.SegmentBytes)
+	w, torn, corrupt, err := openWAL(dir, segPaths, o.segmentBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -199,7 +199,7 @@ func TestRecoverCorruptWALSalvages(t *testing.T) {
 	k := len(frames) / 2
 	dir := t.TempDir()
 
-	d, err := OpenDurability(dir, DurabilityOptions{SyncPolicy: SyncAlways, SegmentBytes: 4096})
+	d, err := OpenDurability(dir, DurabilityOptions{SyncPolicy: SyncAlways, segmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRecoverCorruptWALSalvages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := OpenDurability(dir, DurabilityOptions{SyncPolicy: SyncAlways, SegmentBytes: 4096})
+	d2, err := OpenDurability(dir, DurabilityOptions{SyncPolicy: SyncAlways, segmentBytes: 4096})
 	if err != nil {
 		t.Fatalf("corrupt WAL must salvage, not fail: %v", err)
 	}
@@ -279,7 +279,7 @@ func TestRecoverUndecodableWALRecord(t *testing.T) {
 	frames := durTestFrames(t, man)
 	const bad = 6 // sequence of the undecodable record
 	writeWAL := func(t *testing.T, dir string) {
-		d, err := OpenDurability(dir, DurabilityOptions{SyncPolicy: SyncAlways, SegmentBytes: 1024})
+		d, err := OpenDurability(dir, DurabilityOptions{SyncPolicy: SyncAlways, segmentBytes: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,7 +520,7 @@ func readSnapshot(t *testing.T, path string) *Snapshot {
 // Resume and returns the drained output.
 func recoverAndFinish(t *testing.T, dir string, man *media.Manifest, frames []Frame) ([]byte, *Recovered) {
 	t.Helper()
-	d, err := OpenDurability(dir, DurabilityOptions{SegmentBytes: 64 << 10})
+	d, err := OpenDurability(dir, DurabilityOptions{segmentBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,7 @@ func TestSnapshotRetentionAndAnchoring(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	d, err := OpenDurability(dir, DurabilityOptions{SegmentBytes: 64 << 10, SnapshotEvery: every})
+	d, err := OpenDurability(dir, DurabilityOptions{segmentBytes: 64 << 10, SnapshotEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,7 +710,7 @@ func TestSnapshotRetentionAndAnchoring(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, filepath.Base(unanchoredPath)), unanchored, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		d, err := OpenDurability(dir, DurabilityOptions{SegmentBytes: 64 << 10})
+		d, err := OpenDurability(dir, DurabilityOptions{segmentBytes: 64 << 10})
 		if err == nil {
 			d.close()
 			t.Fatal("recovery accepted a wal no snapshot anchors")
@@ -764,7 +764,7 @@ func TestSnapshotCarriesStaleFlow(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	opts := DurabilityOptions{SegmentBytes: 16 << 10, SnapshotEvery: every}
+	opts := DurabilityOptions{segmentBytes: 16 << 10, SnapshotEvery: every}
 	d, err := OpenDurability(dir, opts)
 	if err != nil {
 		t.Fatal(err)

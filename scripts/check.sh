@@ -14,22 +14,24 @@
 #                                  microbenchmark pair (kernel vs serial)
 #   7. traced quickstart           csi-run + csi-analyze with -trace-out/-metrics,
 #                                  diffed byte-for-byte against testdata/obs/
-#   8. live ops plane smoke        csi-paper -serve probed by livesmoke.go, then
+#   8. error-exit flush            csi-analyze failing on a missing run file
+#                                  still writes its profiles, trace and metrics
+#   9. live ops plane smoke        csi-paper -serve probed by livesmoke.go, then
 #                                  the traced quickstart again with -serve on
-#   9. half-cache goldens          csi-analyze -half-cache-mb vs testdata/obs/
-#  10. perfbench self-check        every benchmark workload at its smallest size
-#  11. fuzz smokes                 capture decoders and the -faults parser
-#  12. fault goldens               impaired runs are byte-deterministic and the
+#  10. half-cache goldens          csi-analyze -half-cache-mb vs testdata/obs/
+#  11. perfbench self-check        every benchmark workload at its smallest size
+#  12. fuzz smokes                 capture decoders and the -faults parser
+#  13. fault goldens               impaired runs are byte-deterministic and the
 #                                  degraded inference matches testdata/obs/
-#  13. monitor replay              csi-monitord -replay == -batch, byte for byte
-#  14. monitor live smoke          frames on stdin: one result per flow
-#  15. monitor eviction smoke      a one-slot flow table evicts with a warning
-#  16. crash-recovery matrix       kill at each crashpoint, recover, cmp to the
+#  14. monitor replay              csi-monitord -replay == -batch, byte for byte
+#  15. monitor live smoke          frames on stdin: one result per flow
+#  16. monitor eviction smoke      a one-slot flow table evicts with a warning
+#  17. crash-recovery matrix       kill at each crashpoint, recover, cmp to the
 #                                  uninterrupted replay
-#  17. fuzz smokes                 WAL salvage, stream ingest, frame codec,
+#  18. fuzz smokes                 WAL salvage, stream ingest, frame codec,
 #                                  incremental Step 1
-#  18. bounded inference smoke     a one-step work budget yields a partial result
-#  19. degradation sweep smoke     TestFaultSweepSmoke
+#  19. bounded inference smoke     a one-step work budget yields a partial result
+#  20. degradation sweep smoke     TestFaultSweepSmoke
 #
 # Any failure aborts the gate. Run from anywhere inside the repository.
 # `check.sh -quick` trims the crash-recovery matrix to its two
@@ -95,6 +97,22 @@ cmp "$obstmp/infer.trace.jsonl" testdata/obs/infer.trace.jsonl
 cmp "$obstmp/infer.metrics.txt" testdata/obs/infer.metrics.txt
 # The JSONL event log must render as a timeline without error.
 go run ./cmd/csi-trace -timeline "$obstmp/infer.trace.jsonl" > /dev/null
+
+echo "== error exits flush every configured output"
+# A command that fails still flushes what its flags asked for: csi-analyze
+# with a run file that does not exist must exit 1 and leave a non-empty CPU
+# profile, a heap profile, a trace and a metrics dump behind (with -serve
+# on, so the ops plane is shut down on the same path).
+rc=0
+go build -o "$obstmp/csi-analyze" ./cmd/csi-analyze
+"$obstmp/csi-analyze" -manifest "$obstmp/man.json" -run "$obstmp/missing.json" \
+    -serve 127.0.0.1:0 -cpuprofile "$obstmp/err.cpu.prof" -memprofile "$obstmp/err.mem.prof" \
+    -trace-out "$obstmp/err.trace.jsonl" -metrics "$obstmp/err.metrics.txt" 2> /dev/null || rc=$?
+if [ "$rc" -ne 1 ] || [ ! -s "$obstmp/err.cpu.prof" ] || [ ! -e "$obstmp/err.mem.prof" ] \
+    || [ ! -e "$obstmp/err.trace.jsonl" ] || [ ! -e "$obstmp/err.metrics.txt" ]; then
+    echo "csi-analyze error exit: rc=$rc (want 1) or a profile, trace or metrics file is missing" >&2
+    exit 1
+fi
 
 echo "== live ops plane smoke (-serve)"
 # csi-paper serves /metrics, /statusz, /healthz etc. while the timing
