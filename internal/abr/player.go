@@ -131,8 +131,8 @@ type Player struct {
 	started      bool
 	playhead     float64 // content seconds (relative: 0 = StartIndex boundary)
 	lastUpdate   float64 // wall time of last playhead update
-	stallTimer   *sim.Event
-	wakeTimer    *sim.Event
+	stallTimer   *sim.Timer
+	wakeTimer    *sim.Timer
 	segments     []playSegment
 	stalls       []capture.StallRecord
 	stallStart   float64
@@ -148,6 +148,8 @@ func NewPlayer(eng *sim.Engine, cfg Config) (*Player, error) {
 		return nil, err
 	}
 	p := &Player{eng: eng, cfg: cfg, dur: cfg.Manifest.ChunkDur}
+	p.stallTimer = eng.NewTimer(p.onPlayheadCaughtUp)
+	p.wakeTimer = eng.NewTimer(p.cueFetches)
 	p.video = &pipeline{
 		p: p, kind: media.Video, fetcher: cfg.VideoFetcher,
 		track: -1, nextIndex: cfg.StartIndex, numChunks: cfg.Manifest.NumVideoChunks(),
@@ -342,34 +344,26 @@ func (p *Player) cueFetches() {
 // scheduleResumeWake arms (once) the global resume cue: when the overall
 // buffer is projected to drain to ResumeBufferSec, all pipelines re-check.
 func (p *Player) scheduleResumeWake() {
-	if p.wakeTimer != nil || !p.playing {
+	if p.wakeTimer.Pending() || !p.playing {
 		return
 	}
 	wake := p.bufferSec() - p.cfg.ResumeBufferSec
 	if wake < 0.01 {
 		wake = 0.01
 	}
-	p.wakeTimer = p.eng.Schedule(wake, func() {
-		p.wakeTimer = nil
-		p.cueFetches()
-	})
+	p.wakeTimer.Reset(wake)
 }
 
 // armStallTimer schedules the moment the playhead would catch the buffer.
 func (p *Player) armStallTimer() {
-	if p.stallTimer != nil {
-		p.stallTimer.Cancel()
-		p.stallTimer = nil
-	}
 	if !p.playing {
+		p.stallTimer.Stop()
 		return
 	}
-	buf := p.bufferSec()
-	p.stallTimer = p.eng.Schedule(buf, p.onPlayheadCaughtUp)
+	p.stallTimer.Reset(p.bufferSec())
 }
 
 func (p *Player) onPlayheadCaughtUp() {
-	p.stallTimer = nil
 	if !p.playing {
 		return
 	}

@@ -114,7 +114,7 @@ type Endpoint struct {
 	ssthresh     float64
 	srtt, rttvar float64
 	minRTT       float64
-	ptoTimer     *sim.Event
+	ptoTimer     *sim.Timer
 	ptoCount     int
 	recoveryEnd  int64 // pn: one cwnd reduction per in-flight epoch
 	streams      map[int64]*sendStream
@@ -129,10 +129,9 @@ type Endpoint struct {
 	largestRecvd   int64
 	recentPNs      []int64 // ring of recently received pns; every ACK re-reports them (cumulative ranges)
 	ackEliciting   int
-	ackTimer       *sim.Event
+	ackTimer       *sim.Timer
 	bytesSinceMaxD int64
 	handshakeDone  bool
-	handshakeRetry *sim.Event
 
 	// Counters.
 	SentPackets   int64
@@ -182,6 +181,12 @@ func newEndpoint(eng *sim.Engine, cfg Config, out packet.Sender, dir packet.Dir)
 		streams:  make(map[int64]*sendStream),
 		recv:     make(map[int64]*recvStream),
 	}
+	ep.ptoTimer = eng.NewTimer(ep.onPTO)
+	ep.ackTimer = eng.NewTimer(func() {
+		if ep.ackEliciting > 0 {
+			ep.sendAck()
+		}
+	})
 	// As in tcpsim, only the download direction traces: it carries the media
 	// bytes the inference pipeline reasons about.
 	if dir == packet.Down {
@@ -268,12 +273,12 @@ func (c *Conn) Start(sni string, onReady func(now float64)) {
 					onReady(c.eng.Now())
 				}
 				sv.out.Send(last)
-				sv.handshakeRetry = sv.eng.Schedule(0.6, sendFlight)
+				sv.eng.Schedule(0.6, sendFlight)
 			}
 			sendFlight()
 		}
 		cl.out.Send(p)
-		cl.handshakeRetry = cl.eng.Schedule(0.6, sendInitial)
+		cl.eng.Schedule(0.6, sendInitial)
 	}
 	sendInitial()
 }
@@ -459,13 +464,8 @@ func (ep *Endpoint) onDataPacket(pn int64, frames []chunk) {
 	}
 	if ep.ackEliciting >= delayedAckThreshold {
 		ep.sendAck()
-	} else if ep.ackTimer == nil {
-		ep.ackTimer = ep.eng.Schedule(delayedAckTimeout, func() {
-			ep.ackTimer = nil
-			if ep.ackEliciting > 0 {
-				ep.sendAck()
-			}
-		})
+	} else if !ep.ackTimer.Pending() {
+		ep.ackTimer.Reset(delayedAckTimeout)
 	}
 }
 
@@ -489,10 +489,7 @@ func (ep *Endpoint) sendAck() {
 	acked := make([]int64, len(ep.recentPNs))
 	copy(acked, ep.recentPNs)
 	ep.ackEliciting = 0
-	if ep.ackTimer != nil {
-		ep.ackTimer.Cancel()
-		ep.ackTimer = nil
-	}
+	ep.ackTimer.Stop()
 	// Always emit a dedicated ACK packet. (Real QUIC piggybacks ACK frames
 	// on outgoing data when possible; a dedicated packet keeps ack latency
 	// independent of the congestion window, which matters for accurate PTO
@@ -610,9 +607,8 @@ func (ep *Endpoint) onAck(pns []int64, largest int64) {
 	ep.pruneSent()
 	if ep.inFlight > 0 {
 		ep.armPTO()
-	} else if ep.ptoTimer != nil {
-		ep.ptoTimer.Cancel()
-		ep.ptoTimer = nil
+	} else {
+		ep.ptoTimer.Stop()
 	}
 	ep.trySend()
 }
@@ -672,14 +668,10 @@ func (ep *Endpoint) ptoDuration() float64 {
 }
 
 func (ep *Endpoint) armPTO() {
-	if ep.ptoTimer != nil {
-		ep.ptoTimer.Cancel()
-	}
-	ep.ptoTimer = ep.eng.Schedule(ep.ptoDuration(), ep.onPTO)
+	ep.ptoTimer.Reset(ep.ptoDuration())
 }
 
 func (ep *Endpoint) onPTO() {
-	ep.ptoTimer = nil
 	if ep.inFlight <= 0 {
 		return
 	}

@@ -9,16 +9,16 @@ import (
 	"csi/internal/netem"
 )
 
-func combinedManifest(t *testing.T) *media.Manifest {
-	t.Helper()
-	return mediatest.Encode(t, media.EncodeConfig{
+func combinedManifest(tb testing.TB) *media.Manifest {
+	tb.Helper()
+	return mediatest.Encode(tb, media.EncodeConfig{
 		Name: "t", Seed: 11, DurationSec: 300, ChunkDur: 5, TargetPASR: 1.4,
 	})
 }
 
-func separateManifest(t *testing.T) *media.Manifest {
-	t.Helper()
-	return mediatest.Encode(t, media.EncodeConfig{
+func separateManifest(tb testing.TB) *media.Manifest {
+	tb.Helper()
+	return mediatest.Encode(tb, media.EncodeConfig{
 		Name: "t", Seed: 11, DurationSec: 300, ChunkDur: 5, TargetPASR: 1.4, AudioTracks: 1,
 	})
 }

@@ -52,17 +52,34 @@ func TestEngineScheduleRelative(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
+func TestTimerStop(t *testing.T) {
 	e := New()
 	fired := false
-	ev := e.At(1, func() { fired = true })
-	ev.Cancel()
+	tm := e.NewTimer(func() { fired = true })
+	tm.Reset(1)
+	tm.Stop()
 	e.Run()
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped timer fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if tm.Pending() {
+		t.Fatal("Pending() = true after Stop")
+	}
+	tm.Stop() // stopping a stopped timer is a no-op
+}
+
+func TestTimerReset(t *testing.T) {
+	e := New()
+	var got []float64
+	tm := e.NewTimer(func() { got = append(got, e.Now()) })
+	tm.Reset(5)
+	tm.Reset(2) // re-keys the pending expiry, does not add a second one
+	e.Run()
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("timer fired at %v, want [2]", got)
+	}
+	if tm.Pending() {
+		t.Fatal("Pending() = true after firing")
 	}
 }
 
@@ -103,14 +120,15 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 
 func TestEnginePending(t *testing.T) {
 	e := New()
-	ev := e.At(1, func() {})
+	tm := e.NewTimer(func() {})
+	tm.Reset(1)
 	e.At(2, func() {})
 	if e.Pending() != 2 {
 		t.Fatalf("Pending() = %d, want 2", e.Pending())
 	}
-	ev.Cancel()
+	tm.Stop()
 	if e.Pending() != 1 {
-		t.Fatalf("Pending() after cancel = %d, want 1", e.Pending())
+		t.Fatalf("Pending() after Stop = %d, want 1", e.Pending())
 	}
 }
 
@@ -151,6 +169,35 @@ func TestEventLimit(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// TestSteadyDispatchAllocatesNothing pins the recycling of fired events:
+// once the queue has reached its working size, a self-rescheduling
+// Schedule loop and a self-re-arming Timer dispatch without allocating.
+func TestSteadyDispatchAllocatesNothing(t *testing.T) {
+	e := New()
+	for i := 0; i < 64; i++ {
+		d := float64(i%7+1) * 0.001
+		var tick func()
+		tick = func() { e.Schedule(d, tick) }
+		e.Schedule(0, tick)
+	}
+	var tm *Timer
+	tm = e.NewTimer(func() { tm.Reset(0.002) })
+	tm.Reset(0)
+	for i := 0; i < 1000; i++ {
+		e.Step()
+	}
+	// AllocsPerRun truncates to whole allocations per run, so each run
+	// dispatches a batch: one allocation in the batch reads as 1.
+	steps := func() {
+		for i := 0; i < 100; i++ {
+			e.Step()
+		}
+	}
+	if got := testing.AllocsPerRun(100, steps); got != 0 {
+		t.Fatalf("steady dispatch allocates %g per 100 events, want 0", got)
+	}
 }
 
 // BenchmarkEngine measures raw event throughput of the kernel; everything

@@ -195,33 +195,37 @@ func Pack(runs map[string]*capture.Trace) []Frame {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	pkts := make([][]packet.View, len(names))
+	total := len(names) // one close marker per flow
+	for i, name := range names {
+		pkts[i] = runs[name].Packets
+		total += len(pkts[i])
+	}
 
 	idx := make([]int, len(names))
-	var out []Frame
+	out := make([]Frame, 0, total)
 	for {
 		best := -1
-		for i, name := range names {
-			pkts := runs[name].Packets
-			if idx[i] >= len(pkts) {
+		for i, p := range pkts {
+			if idx[i] >= len(p) {
 				continue
 			}
-			if best < 0 || pkts[idx[i]].Time < runs[names[best]].Packets[idx[best]].Time {
+			if best < 0 || p[idx[i]].Time < pkts[best][idx[best]].Time {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		name := names[best]
-		out = append(out, Frame{Flow: name, Packet: runs[name].Packets[idx[best]]})
+		out = append(out, Frame{Flow: names[best], Packet: pkts[best][idx[best]]})
 		idx[best]++
-		if idx[best] == len(runs[name].Packets) {
-			out = append(out, Frame{Flow: name, Close: true})
+		if idx[best] == len(pkts[best]) {
+			out = append(out, Frame{Flow: names[best], Close: true})
 		}
 	}
 	// Close markers for empty traces, in name order.
 	for i, name := range names {
-		if len(runs[name].Packets) == 0 && idx[i] == 0 {
+		if len(pkts[i]) == 0 {
 			out = append(out, Frame{Flow: name, Close: true})
 		}
 	}

@@ -2,11 +2,14 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 
+	"csi/internal/capture"
 	"csi/internal/obs"
+	"csi/internal/packet"
 	"csi/internal/session"
 	"csi/internal/testleak"
 )
@@ -16,6 +19,48 @@ import (
 // offset), and a crash-truncated tail must be distinguishable from
 // corruption so recovery can tolerate the former while batch loading
 // rejects both.
+
+// TestPackOrder pins Pack's interleaving: frames in timestamp order, equal
+// timestamps broken by flow name and then by per-flow order, each close
+// marker directly after its flow's last packet, and the markers of empty
+// traces last, in name order.
+func TestPackOrder(t *testing.T) {
+	trace := func(times ...float64) *capture.Trace {
+		tr := &capture.Trace{}
+		for i, at := range times {
+			tr.Packets = append(tr.Packets, packet.View{Time: at, Size: int64(i)})
+		}
+		return tr
+	}
+	frames := Pack(map[string]*capture.Trace{
+		"b":     trace(1, 2, 2, 4),
+		"a":     trace(2, 3),
+		"c":     trace(2),
+		"empty": trace(),
+		"dry":   trace(),
+	})
+	var got []string
+	for _, f := range frames {
+		if f.Close {
+			got = append(got, f.Flow+"/close")
+		} else {
+			got = append(got, fmt.Sprintf("%s%d@%g", f.Flow, f.Packet.Size, f.Packet.Time))
+		}
+	}
+	want := []string{
+		"b0@1",
+		"a0@2", "b1@2", "b2@2", "c0@2", "c/close",
+		"a1@3", "a/close",
+		"b3@4", "b/close",
+		"dry/close", "empty/close",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("Pack order:\n got %v\nwant %v", got, want)
+	}
+	if cap(frames) != len(frames) {
+		t.Fatalf("Pack output has cap %d for %d frames, want an exact presize", cap(frames), len(frames))
+	}
+}
 
 func TestFrameReaderDecodeErrorPosition(t *testing.T) {
 	in := `{"flow":"a","packet":{"time":1,"conn":1,"len":10}}

@@ -83,7 +83,7 @@ type Endpoint struct {
 	recoverPoint             int64
 	rto                      float64
 	srtt, rttvar, minRTT     float64
-	rtoTimer                 *sim.Event
+	rtoTimer                 *sim.Timer
 	timing                   []segTiming
 	lastSend                 float64
 
@@ -145,6 +145,7 @@ func newEndpoint(eng *sim.Engine, cfg Config, out packet.Sender, dir packet.Dir)
 		ssthresh: 1 << 30,
 		rto:      1.0,
 	}
+	ep.rtoTimer = eng.NewTimer(ep.onRTO)
 	// Only the server endpoint of a connection carries the download-heavy
 	// direction the paper cares about; instrumenting both lanes doubles the
 	// record volume for no inference signal, so only Down endpoints trace.
@@ -197,13 +198,14 @@ const synRetries = 6
 func (c *Conn) Start(onOpen func(now float64)) {
 	cl, sv := c.Client, c.Server
 	open := false
-	var timer *sim.Event
+	retries, rto := 0, 1.0
+	var timer *sim.Timer
 	onSynAck := func(now float64) {
 		if open {
 			return // a duplicate answering a retransmitted SYN
 		}
 		open = true
-		timer.Cancel()
+		timer.Stop()
 		ack := &packet.Packet{
 			Size: packet.IPHeader + packet.TCPHeader,
 			View: packet.View{Dir: packet.Up, Proto: packet.TCP, ConnID: c.cfg.ConnID, ServerIP: c.cfg.ServerIP},
@@ -212,8 +214,7 @@ func (c *Conn) Start(onOpen func(now float64)) {
 		cl.out.Send(ack)
 		onOpen(c.eng.Now())
 	}
-	var sendSyn func(retries int, rto float64)
-	sendSyn = func(retries int, rto float64) {
+	sendSyn := func() {
 		syn := &packet.Packet{
 			Size: packet.IPHeader + packet.TCPHeader + 12, // SYN options
 			View: packet.View{Dir: packet.Up, Proto: packet.TCP, ConnID: c.cfg.ConnID, ServerIP: c.cfg.ServerIP},
@@ -228,10 +229,15 @@ func (c *Conn) Start(onOpen func(now float64)) {
 		}
 		cl.out.Send(syn)
 		if retries < synRetries {
-			timer = c.eng.Schedule(rto, func() { sendSyn(retries+1, 2*rto) })
+			timer.Reset(rto)
 		}
 	}
-	sendSyn(0, 1)
+	timer = c.eng.NewTimer(func() {
+		retries++
+		rto *= 2
+		sendSyn()
+	})
+	sendSyn()
 }
 
 // SetClassifier installs the TLS byte classifier for this direction.
@@ -367,18 +373,14 @@ func (ep *Endpoint) sendSegment(seq, n int64, rtx bool) {
 }
 
 func (ep *Endpoint) armRTO() {
-	if ep.rtoTimer != nil {
-		ep.rtoTimer.Cancel()
-	}
 	rto := ep.rto
 	if rto < ep.cfg.RTOMin {
 		rto = ep.cfg.RTOMin
 	}
-	ep.rtoTimer = ep.eng.Schedule(rto, ep.onRTO)
+	ep.rtoTimer.Reset(rto)
 }
 
 func (ep *Endpoint) onRTO() {
-	ep.rtoTimer = nil
 	if ep.sndUna >= ep.sndNxt {
 		return // nothing outstanding
 	}
@@ -524,9 +526,8 @@ func (ep *Endpoint) onAck(ack int64, sack [][2]int64) {
 		if newlyAcked > 0 {
 			ep.armRTO()
 		}
-	} else if ep.rtoTimer != nil {
-		ep.rtoTimer.Cancel()
-		ep.rtoTimer = nil
+	} else {
+		ep.rtoTimer.Stop()
 	}
 	ep.trySend()
 }

@@ -272,3 +272,37 @@ func TestHandshakeRecoversLostSyn(t *testing.T) {
 		}
 	}
 }
+
+// TestNoStoppedTimersQueued checks that a long lossy transfer leaves
+// nothing in the event queue once the last ACK is in: every segment
+// re-arms the RTO timer, and neither the re-arms nor the final stop may
+// leave an entry behind. Pending counts every queued entry.
+func TestNoStoppedTimersQueued(t *testing.T) {
+	h := newHarness(t, netem.LinkConfig{
+		Trace: netem.Constant(8_000_000), Delay: 0.02,
+		LossProb: 0.02, Seed: 3, QueueCap: 1 << 20,
+	})
+	done := false
+	h.conn.Start(func(now float64) {
+		h.conn.Client.Write(400, func(now float64) {
+			h.conn.Server.Write(2_000_000, func(now float64) { done = true })
+		})
+	})
+	for !done && h.eng.Step() {
+	}
+	if !done {
+		t.Fatal("transfer incomplete")
+	}
+	if h.conn.Server.Retransmits == 0 {
+		t.Fatal("expected retransmissions under 2% loss")
+	}
+	// The final ACK reaches the server one uplink delay later; RTOs are
+	// at least 200 ms, so a dead RTO entry would still be queued.
+	h.eng.RunUntil(h.eng.Now() + 0.1)
+	if h.conn.Server.rtoTimer.Pending() || h.conn.Client.rtoTimer.Pending() {
+		t.Fatal("RTO timer still armed after the last ACK")
+	}
+	if n := h.eng.Pending(); n != 0 {
+		t.Fatalf("%d entries left in the event queue after the transfer, want 0", n)
+	}
+}

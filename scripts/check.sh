@@ -10,8 +10,9 @@
 #                                  failing on stale suppressions; archives the
 #                                  machine-readable report as csi-vet.json
 #   5. go test -race ./...         full test suite under the race detector
-#   6. core bench smoke            one iteration of each mux search
-#                                  microbenchmark pair (kernel vs serial)
+#   6. bench smoke                 one iteration of each mux search
+#                                  microbenchmark pair (kernel vs serial) and
+#                                  of the whole-session simulator benchmarks
 #   7. traced quickstart           csi-run + csi-analyze with -trace-out/-metrics,
 #                                  diffed byte-for-byte against testdata/obs/
 #   8. error-exit flush            csi-analyze failing on a missing run file
@@ -71,11 +72,13 @@ echo "== go test -race ./..."
 # 10-minute limit on small (single-core CI) machines.
 go test -race -timeout 30m ./...
 
-echo "== core bench smoke (1 iteration)"
+echo "== bench smoke (1 iteration)"
 # One iteration of each mux candidate-search microbenchmark pair (parallel
-# kernel vs serial reference) so they cannot rot without failing the gate.
+# kernel vs serial reference) and of the session benchmarks that time
+# simulator event dispatch, so they cannot rot without failing the gate.
 go test -run='^$' -bench='^Benchmark(MuxCandidateSearch|WindowStats)(Serial)?$' \
     -benchtime=1x ./internal/core > /dev/null
+go test -run='^$' -bench='^BenchmarkSessionRun(SH|CQ)$' -benchtime=1x ./internal/session > /dev/null
 
 echo "== traced quickstart vs committed obs goldens"
 # The same fixed-seed pipeline the TestObsGoldenDeterminism fixture runs,
