@@ -167,7 +167,9 @@ func run() (err error) {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		fmt.Println(tab.String())
-		fmt.Printf("[%s completed in %.1fs]\n\n", name, time.Since(start).Seconds())
+		fmt.Println()
+		// Wall time goes to stderr, so stdout stays byte-identical run to run.
+		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs]\n", name, time.Since(start).Seconds())
 	}
 	return nil
 }

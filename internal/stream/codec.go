@@ -131,74 +131,100 @@ func appendString(b []byte, s string) []byte {
 // decodeFrame decodes one JSON frame into f, leaving exactly what
 // json.Unmarshal would leave in a zero Frame and returning its error. The
 // canonical encoding is decoded directly; any other input goes to
-// json.Unmarshal. String fields already in f are kept, without a copy,
-// when the line carries the same bytes, so a reader that decodes into the
-// previous frame allocates nothing for a repeated flow name or address;
-// new strings are copied out of line.
-func decodeFrame(line []byte, f *Frame) error {
-	s := frameScanner{b: line, ok: true}
-	s.lit(`{"flow":`)
+// json.Unmarshal, and canonical reports which path ran. String fields
+// already in f are kept, without a copy, when the line carries the same
+// bytes, so a reader that decodes each frame over the previous one
+// allocates nothing for a repeated flow name or address; new strings are
+// copied out of line. canon says every string in f came from the
+// canonical path, as it does after a decode that reported canonical: such
+// a string is matched against the line with one compare, before any byte
+// scan.
+//
+// Each literal is compared where it is written: against a constant of at
+// most 16 bytes the compiler emits two 8-byte loads instead of a
+// runtime.memequal call, which it cannot do for a literal passed into a
+// helper. lit's count is the literal's length.
+func decodeFrame(line []byte, f *Frame, canon bool) (canonical bool, err error) {
+	s := frameScanner{b: line, ok: true, canon: canon}
+	s.lit(8, string(s.peek(8)) == `{"flow":`)
 	f.Flow = s.str(f.Flow)
-	f.Close = s.optLit(`,"close":true`)
+	f.Close = s.optLit(13, string(s.peek(13)) == `,"close":true`)
 	p := &f.Packet
-	s.lit(`,"packet":{"Time":`)
+	s.lit(10, string(s.peek(10)) == `,"packet":`)
+	s.lit(8, string(s.peek(8)) == `{"Time":`)
 	p.Time = s.float()
-	s.lit(`,"Dir":`)
+	s.lit(7, string(s.peek(7)) == `,"Dir":`)
 	p.Dir = packet.Dir(s.int())
-	s.lit(`,"Proto":`)
+	s.lit(9, string(s.peek(9)) == `,"Proto":`)
 	p.Proto = packet.Proto(s.int())
-	s.lit(`,"ConnID":`)
+	s.lit(10, string(s.peek(10)) == `,"ConnID":`)
 	p.ConnID = s.int()
-	s.lit(`,"Size":`)
+	s.lit(8, string(s.peek(8)) == `,"Size":`)
 	p.Size = s.int64()
-	s.lit(`,"SNI":`)
+	s.lit(7, string(s.peek(7)) == `,"SNI":`)
 	p.SNI = s.str(p.SNI)
-	s.lit(`,"ServerIP":`)
+	s.lit(12, string(s.peek(12)) == `,"ServerIP":`)
 	p.ServerIP = s.str(p.ServerIP)
-	s.lit(`,"DNSQuery":`)
+	s.lit(12, string(s.peek(12)) == `,"DNSQuery":`)
 	p.DNSQuery = s.str(p.DNSQuery)
-	s.lit(`,"DNSAnswerIP":`)
+	s.lit(15, string(s.peek(15)) == `,"DNSAnswerIP":`)
 	p.DNSAnswerIP = s.str(p.DNSAnswerIP)
-	s.lit(`,"TCPSeq":`)
+	s.lit(10, string(s.peek(10)) == `,"TCPSeq":`)
 	p.TCPSeq = s.int64()
-	s.lit(`,"TCPPayload":`)
+	s.lit(14, string(s.peek(14)) == `,"TCPPayload":`)
 	p.TCPPayload = s.int64()
-	s.lit(`,"TLSAppBytes":`)
+	s.lit(15, string(s.peek(15)) == `,"TLSAppBytes":`)
 	p.TLSAppBytes = s.int64()
-	s.lit(`,"TLSHSBytes":`)
+	s.lit(14, string(s.peek(14)) == `,"TLSHSBytes":`)
 	p.TLSHSBytes = s.int64()
-	s.lit(`,"QUICPN":`)
+	s.lit(10, string(s.peek(10)) == `,"QUICPN":`)
 	p.QUICPN = s.int64()
-	s.lit(`,"QUICPayload":`)
+	s.lit(15, string(s.peek(15)) == `,"QUICPayload":`)
 	p.QUICPayload = s.int64()
-	s.lit(`,"QUICLong":`)
-	p.QUICLong = s.bool()
-	s.lit(`}}`)
+	s.lit(12, string(s.peek(12)) == `,"QUICLong":`)
+	if s.optLit(4, string(s.peek(4)) == `true`) {
+		p.QUICLong = true
+	} else {
+		s.lit(5, string(s.peek(5)) == `false`)
+		p.QUICLong = false
+	}
+	s.lit(2, string(s.peek(2)) == `}}`)
 	if s.ok && s.i == len(line) {
-		return nil
+		return true, nil
 	}
 	var fc Frame // decoded apart, so only this path moves a Frame to the heap
-	err := json.Unmarshal(line, &fc)
+	err = json.Unmarshal(line, &fc)
 	*f = fc
-	return err
+	return false, err
 }
 
 // frameScanner walks the canonical frame encoding. Every method is a
 // no-op returning the zero value once ok is false, so decodeFrame reads
 // straight through and checks ok once at the end.
 type frameScanner struct {
-	b  []byte
-	i  int
-	ok bool
+	b     []byte
+	i     int
+	ok    bool
+	canon bool // the previous strings handed to str are canonical
 }
 
-// lit consumes the literal l, which must come next.
-func (s *frameScanner) lit(l string) { s.ok = s.optLit(l) }
+// peek returns the next n bytes, or nil when fewer remain.
+func (s *frameScanner) peek(n int) []byte {
+	if len(s.b)-s.i < n {
+		return nil
+	}
+	return s.b[s.i : s.i+n]
+}
 
-// optLit consumes l if it comes next and reports whether it did.
-func (s *frameScanner) optLit(l string) bool {
-	if s.ok && len(s.b)-s.i >= len(l) && string(s.b[s.i:s.i+len(l)]) == l {
-		s.i += len(l)
+// lit consumes the n-byte literal that must come next; match says whether
+// the next n bytes are that literal.
+func (s *frameScanner) lit(n int, match bool) { s.ok = s.optLit(n, match) }
+
+// optLit consumes the n-byte literal if match says it comes next, and
+// reports whether it did.
+func (s *frameScanner) optLit(n int, match bool) bool {
+	if s.ok && match {
+		s.i += n
 		return true
 	}
 	return false
@@ -212,6 +238,11 @@ func (s *frameScanner) str(prev string) string {
 		return ""
 	}
 	start := s.i + 1
+	if end := start + len(prev); s.canon && end < len(s.b) && s.b[end] == '"' && string(s.b[start:end]) == prev {
+		// A canonical prev holds no byte the scan below would stop at.
+		s.i = end + 1
+		return prev
+	}
 	for j := start; j < len(s.b); j++ {
 		switch c := s.b[j]; {
 		case c == '"':
@@ -281,9 +312,56 @@ func skipDigits(b []byte, i int) int {
 
 // float consumes a float64 the way encoding/json stores one:
 // strconv.ParseFloat of the literal, where any error (out of range) is a
-// deviation.
+// deviation. A plain decimal (an optional '-', a lone 0 or digits without
+// a leading zero, then optionally '.' and digits) whose digits, without
+// the point, form an integer below 2^53 with at most 22 after the point
+// is converted in place: the integer and the power of ten are both exact
+// float64s, so the one IEEE division rounds the exact decimal value once,
+// correctly, which is the value ParseFloat returns. A longer mantissa goes
+// to ParseFloat from the same scan; an exponent, and anything malformed,
+// takes the general number path.
 func (s *frameScanner) float() float64 {
-	num := s.number()
+	if !s.ok {
+		return 0
+	}
+	b, i := s.b, s.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var mant uint64
+	for ; i < len(b) && isDigit(b[i]); i++ {
+		mant = mant*10 + uint64(b[i]-'0')
+	}
+	whole, frac := i-start, 0
+	if i < len(b) && b[i] == '.' {
+		i++
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			mant = mant*10 + uint64(b[i]-'0')
+			frac++
+		}
+	}
+	if whole == 0 || (whole > 1 && b[start] == '0') || b[i-1] == '.' ||
+		(i < len(b) && (b[i] == 'e' || b[i] == 'E')) {
+		return s.parseFloat(s.number())
+	}
+	num := b[s.i:i]
+	s.i = i
+	// Nineteen digits cannot overflow a uint64; past that mant is
+	// meaningless and ParseFloat decides.
+	if whole+frac > 19 || mant >= 1<<53 || frac > 22 {
+		return s.parseFloat(num)
+	}
+	f := float64(mant) / float64pow10[frac]
+	if neg {
+		f = -f
+	}
+	return f
+}
+
+// parseFloat converts num with strconv.ParseFloat; an error is a deviation.
+func (s *frameScanner) parseFloat(num []byte) float64 {
 	if !s.ok {
 		return 0
 	}
@@ -293,6 +371,12 @@ func (s *frameScanner) float() float64 {
 		return 0
 	}
 	return f
+}
+
+// float64pow10 holds the powers of ten a float64 represents exactly.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
 // int64 consumes an integer the way encoding/json stores one:
@@ -306,15 +390,19 @@ func (s *frameScanner) int64() int64 {
 		return 0
 	}
 	b, i := s.b, s.i
+	if i+1 < len(b) && b[i+1] == ',' && isDigit(b[i]) {
+		// A single digit, as most of a frame's integers are.
+		s.i = i + 1
+		return int64(b[i] - '0')
+	}
 	neg := i < len(b) && b[i] == '-'
 	if neg {
 		i++
 	}
 	start := i
 	var n int64
-	for i < len(b) && i-start < 18 && isDigit(b[i]) {
+	for end := min(len(b), start+18); i < end && isDigit(b[i]); i++ {
 		n = n*10 + int64(b[i]-'0')
-		i++
 	}
 	if d := i - start; d > 0 && (d == 1 || b[start] != '0') &&
 		(i == len(b) || !isDigit(b[i]) && b[i] != '.' && b[i] != 'e' && b[i] != 'E') {
@@ -344,12 +432,4 @@ func (s *frameScanner) int() int {
 		return 0
 	}
 	return int(n)
-}
-
-func (s *frameScanner) bool() bool {
-	if s.optLit("true") {
-		return true
-	}
-	s.lit("false")
-	return false
 }

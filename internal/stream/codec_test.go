@@ -32,21 +32,45 @@ func checkEncode(t *testing.T, f *Frame) {
 
 // checkDecode compares decodeFrame, into a frame already holding prior,
 // with json.Unmarshal into a zero Frame: error text and the decoded value
-// (compared by its json.Marshal bytes, which keep -0 apart from 0).
+// (compared by its json.Marshal bytes, which keep -0 apart from 0). When
+// prior's strings could have come from the canonical path, it also
+// decodes over prior as a FrameReader does after a canonical decode.
 func checkDecode(t *testing.T, line []byte, prior Frame) {
 	t.Helper()
 	var want Frame
 	werr := json.Unmarshal(line, &want)
-	got := prior
-	gerr := decodeFrame(line, &got)
-	if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
-		t.Fatalf("decode %q: error %v, json.Unmarshal %v", line, gerr, werr)
-	}
 	wb, err1 := json.Marshal(&want)
-	gb, err2 := json.Marshal(&got)
-	if err1 != nil || err2 != nil || !bytes.Equal(wb, gb) {
-		t.Fatalf("decode %q:\n got %s\nwant %s", line, gb, wb)
+	for _, canon := range []bool{false, true} {
+		if canon && !scannableFrame(&prior) {
+			continue
+		}
+		got := prior
+		canonical, gerr := decodeFrame(line, &got, canon)
+		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("decode %q (canon %v): error %v, json.Unmarshal %v", line, canon, gerr, werr)
+		}
+		gb, err2 := json.Marshal(&got)
+		if err1 != nil || err2 != nil || !bytes.Equal(wb, gb) {
+			t.Fatalf("decode %q (canon %v):\n got %s\nwant %s", line, canon, gb, wb)
+		}
+		if canonical && !scannableFrame(&got) {
+			t.Fatalf("decode %q reported canonical strings, got %+v", line, got)
+		}
 	}
+}
+
+// scannableFrame reports whether every string of f holds only bytes the
+// decoder's string scan accepts, as the strings of a frame decoded on the
+// canonical path do.
+func scannableFrame(f *Frame) bool {
+	for _, s := range []string{f.Flow, f.Packet.SNI, f.Packet.ServerIP, f.Packet.DNSQuery, f.Packet.DNSAnswerIP} {
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestFrameCodecTable(t *testing.T) {
@@ -132,13 +156,33 @@ func TestFrameCodecTable(t *testing.T) {
 			decodeCases["int edge/"+field+"="+num] = withInt(line, field, num)
 		}
 	}
+	for _, num := range floatEdges {
+		decodeCases["float edge/"+num] = strings.Replace(line, `"Time":1.5`, `"Time":`+num, 1)
+	}
 	prior := Frame{Flow: "a", Close: true, Packet: packet.View{Time: 9, SNI: "old", ServerIP: "10.0.0.1"}}
+	escaped := Frame{Flow: `a"`, Packet: packet.View{SNI: `\`, ServerIP: "10.0.0.1\x01"}}
 	for name, in := range decodeCases {
 		t.Run("decode/"+name, func(t *testing.T) {
 			checkDecode(t, []byte(in), Frame{})
 			checkDecode(t, []byte(in), prior)
+			checkDecode(t, []byte(in), escaped)
 		})
 	}
+}
+
+// floatEdges are Time literals at the edges of the decoder's exact float
+// path (a mantissa below 2^53 scaled by 10^-22 to 10^22) and forms only
+// strconv decides.
+var floatEdges = []string{
+	"9007199254740991", "9007199254740992", "9007199254740993", // 2^53-1, 2^53, 2^53+1
+	"900719925474099.1", "900719925474099.2", "900719925474099.3",
+	"-9007199254740991", "9007199254740991e22", "9007199254740991e-22",
+	"123.456789012345", "1234.567890123456", "12345.678901234567", // 15, 16, 17 digits
+	"0.1234567890123456789", "12345678901234567890", // 19 and 20 digits
+	"1e22", "1e23", "1e-22", "1e-23", "1.5e22", "15e21", "1.5e-21", "0.5e-22",
+	"-0", "0.0", "-0.0", "0e999", "1e-7", "1E+2", "1e+022", "2.5E-3", "1e0",
+	"100.00000000000000000000", "0.0000000000000000000001", "0.00000000000000000000001",
+	"-.5", ".5", "-01", "00.5", "0.", "-0.", "1.e5", "1e", "01", "-", "1.5.5", "1..5",
 }
 
 // intFields are the frame's integer keys; intEdges are the literals at the
@@ -277,10 +321,13 @@ func FuzzFrameCodec(f *testing.F) {
 			f.Add([]byte(withInt(canonicalSeed, field, num)))
 		}
 	}
+	for _, num := range floatEdges {
+		f.Add([]byte(strings.Replace(canonicalSeed, `"Time":1.5`, `"Time":`+num, 1)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data, Frame{})
 		var fr Frame
-		if decodeFrame(data, &fr) == nil {
+		if _, err := decodeFrame(data, &fr, false); err == nil {
 			checkEncode(t, &fr)
 		}
 	})
@@ -306,7 +353,7 @@ func TestFrameCodecFastPathAllocs(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(100, func() {
 			g := f
-			if err := decodeFrame(line, &g); err != nil {
+			if _, err := decodeFrame(line, &g, false); err != nil {
 				t.Fatal(err)
 			}
 			if buf, err = appendFrame(buf[:0], &g); err != nil {

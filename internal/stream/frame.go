@@ -82,7 +82,8 @@ type FrameReader struct {
 	offset  int64 // byte offset of the start of that line
 	lastLen int   // bytes consumed for the previous line (offset bookkeeping)
 	err     error // sticky terminal error
-	prev    Frame // last frame decoded, whose strings decodeFrame reuses
+	prev    Frame // last frame decoded; the next one is decoded over it
+	canon   bool  // prev's strings came from the codec's canonical path
 }
 
 // NewFrameReader reads frames from r.
@@ -125,8 +126,8 @@ func (fr *FrameReader) Next() (Frame, error) {
 			}
 			continue // blank line
 		}
-		f := fr.prev
-		if err := decodeFrame(trimmed, &f); err != nil {
+		var err error
+		if fr.canon, err = decodeFrame(trimmed, &fr.prev, fr.canon); err != nil {
 			if atEOF {
 				// The recording stops mid-line: a crash-truncated tail,
 				// not corruption.
@@ -134,14 +135,13 @@ func (fr *FrameReader) Next() (Frame, error) {
 			} else {
 				fr.err = fmt.Errorf("stream: line %d (byte offset %d): %w", fr.line, fr.offset, err)
 			}
-			return f, fr.err
+			return fr.prev, fr.err
 		}
 		// A parseable final line without a newline is a complete frame.
 		if atEOF {
 			fr.err = io.EOF
 		}
-		fr.prev = f
-		return f, nil
+		return fr.prev, nil
 	}
 }
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -218,5 +219,33 @@ func TestFrameAtBoundFitsWAL(t *testing.T) {
 	}
 	if n := reg.Counter("stream.wal_appends").Value(); n != 1 {
 		t.Fatalf("stream.wal_appends = %d, want 1", n)
+	}
+}
+
+// TestFrameReaderReusesOnlyCanonicalStrings pins the reader's string reuse
+// against a previous frame the json fallback decoded: the escape `"a\\b"`
+// decodes to a\b, and a next line whose raw bytes are `"a\b"` holds the
+// escape \b, not a match. Each frame must equal json.Unmarshal's.
+func TestFrameReaderReusesOnlyCanonicalStrings(t *testing.T) {
+	rest := strings.TrimPrefix(canonicalSeed, `{"flow":"a"`)
+	lines := []string{
+		`{"flow":"a\\b"` + rest,
+		`{"flow":"a\b"` + rest,
+		`{"flow":"a\b"` + rest,
+		canonicalSeed,
+		canonicalSeed,
+	}
+	frames, err := ReadFrames(strings.NewReader(strings.Join(lines, "\n") + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range lines {
+		var want Frame
+		if err := json.Unmarshal([]byte(line), &want); err != nil {
+			t.Fatal(err)
+		}
+		if frames[i] != want {
+			t.Fatalf("line %d: got flow %q, want %q", i+1, frames[i].Flow, want.Flow)
+		}
 	}
 }

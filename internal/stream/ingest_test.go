@@ -1,7 +1,11 @@
 package stream
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,11 +44,19 @@ func waitFor[T any](t *testing.T, ch <-chan T, what string) T {
 	}
 }
 
+// ringLen reports how many frames the ingest ring holds.
+func (m *Monitor) ringLen() int {
+	m.ringMu.Lock()
+	defer m.ringMu.Unlock()
+	return m.ringN
+}
+
 // TestIngestDuringDrainIsProcessed pins that a frame Ingest accepts is
 // always processed, even when Drain starts while that Ingest is between
-// its stopped check and its send — csi-monitord's SIGTERM path, where the
-// reader keeps ingesting while Drain runs. Drain must wait for the send
-// and sweep the frame, so it is counted and its flow gets a result.
+// its stopped check and its copy into the ring — csi-monitord's SIGTERM
+// path, where the reader keeps ingesting while Drain runs. Drain must wait
+// for the copy and sweep the frame, so it is counted and its flow gets a
+// result.
 func TestIngestDuringDrainIsProcessed(t *testing.T) {
 	testleak.Check(t)
 	for _, policy := range []string{ShedDrop, ShedBlock} {
@@ -58,15 +70,12 @@ func TestIngestDuringDrainIsProcessed(t *testing.T) {
 
 			accepted := make(chan bool, 1)
 			go func() { accepted <- mon.Ingest(ingestFrame("a", 0)) }()
-			<-entered // past the stopped check, not yet sent
+			<-entered // past the stopped check, not yet copied, ring lock held
 			drained := make(chan []Result, 1)
 			go func() { drained <- mon.Drain() }()
-			for !mon.stopped.Load() {
-				time.Sleep(time.Millisecond)
-			}
-			// Let the control loop reach its sweep before the frame is
-			// sent: without the barrier it would sweep an empty ring and
-			// stop reading it, and the send below would land unread.
+			// Let Drain queue on the ring lock before the frame is copied:
+			// if it could set stopped and the control loop sweep the ring
+			// first, the frame would land unread.
 			time.Sleep(50 * time.Millisecond)
 			close(release)
 
@@ -123,7 +132,7 @@ func TestBlockedIngestRefusedOnDrain(t *testing.T) {
 		}
 		results <- oks
 	}()
-	for len(mon.ring) < ringSize {
+	for mon.ringLen() < ringSize {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond) // let the producer block on the full ring
@@ -185,8 +194,8 @@ func TestBatchedReceiveLandsSolves(t *testing.T) {
 	i := 1
 	for ; mon.Ingest(ingestFrame("a", i)); i++ {
 	}
-	if len(mon.ring) != ringSize {
-		t.Fatalf("ring holds %d frames after a shed, want %d", len(mon.ring), ringSize)
+	if n := mon.ringLen(); n != ringSize {
+		t.Fatalf("ring holds %d frames after a shed, want %d", n, ringSize)
 	}
 	close(finish)
 	if n := waitFor(t, covered, "the first solve"); n != 1 {
@@ -204,4 +213,86 @@ func TestBatchedReceiveLandsSolves(t *testing.T) {
 		t.Fatalf("the first completion landed after %d frames, once the %d-frame ring had emptied", n, ringSize)
 	}
 	mon.Drain()
+}
+
+// TestIngestRacesDrain has four producers race Drain under both policies.
+// Every Ingest that returned true must be counted in stream.frames_total,
+// and each producer's accepted frames, and only those, must reach its
+// flow's trace in the order it sent them. Run it under -race.
+func TestIngestRacesDrain(t *testing.T) {
+	testleak.Check(t)
+	const producers, perProducer = 4, 16 * ringSize
+	for _, policy := range []string{ShedDrop, ShedBlock} {
+		t.Run(policy, func(t *testing.T) {
+			var mon *Monitor
+			var appliedMu sync.Mutex
+			applied := map[string][]float64{}
+			// The flows never re-solve mid-stream, so their one solve is the
+			// final one, over a frozen trace holding every applied frame.
+			testHookSolve = func(flow string) {
+				mon.mu.Lock()
+				fs := mon.flows[flow]
+				mon.mu.Unlock()
+				times := make([]float64, len(fs.trace.Packets))
+				for i, v := range fs.trace.Packets {
+					times[i] = v.Time
+				}
+				appliedMu.Lock()
+				applied[flow] = times
+				appliedMu.Unlock()
+			}
+			defer func() { testHookSolve = nil }()
+			obsT := obs.New(nil, nil)
+			mon = New(ingestOpts(policy, obsT))
+
+			var wg sync.WaitGroup
+			var total atomic.Int64
+			accepted := make([][]float64, producers)
+			for p := range accepted {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					flow := fmt.Sprintf("p%d", p)
+					for i := 0; i < perProducer; i++ {
+						f := ingestFrame(flow, i)
+						if mon.Ingest(f) {
+							accepted[p] = append(accepted[p], f.Packet.Time)
+							total.Add(1)
+						} else if policy == ShedBlock {
+							if mon.Ingest(ingestFrame(flow, i+1)) {
+								t.Errorf("producer %d: a refused Ingest was followed by an accepted one", p)
+							}
+							return
+						}
+					}
+				}(p)
+			}
+			for total.Load() < 2*ringSize {
+				runtime.Gosched()
+			}
+			results := mon.Drain()
+			wg.Wait()
+
+			sum := int64(0)
+			for _, a := range accepted {
+				sum += int64(len(a))
+			}
+			if frames := obsT.Metrics().Counter("stream.frames_total").Value(); frames != sum {
+				t.Fatalf("producers had %d frames accepted; stream.frames_total = %d", sum, frames)
+			}
+			packets := map[string]int{}
+			for _, r := range results {
+				packets[r.Flow] = r.Packets
+			}
+			for p, want := range accepted {
+				flow := fmt.Sprintf("p%d", p)
+				if got := applied[flow]; !slices.Equal(got, want) {
+					t.Fatalf("producer %d: %d frames accepted, %d applied, or out of order", p, len(want), len(got))
+				}
+				if packets[flow] != len(want) {
+					t.Fatalf("producer %d: %d frames accepted, result covers %d", p, len(want), packets[flow])
+				}
+			}
+		})
+	}
 }

@@ -219,11 +219,12 @@ func OpenDurability(dir string, o DurabilityOptions) (*Durability, error) {
 	// goroutine reads it. Each frame is decoded over the previous one, so
 	// a flow name or address repeated frame after frame is shared.
 	var f Frame
+	var canon bool
 	var badSeq uint64
 	var badErr error
 	d.frames = make([]Frame, 0, nTail)
 	if err := w.replay(d.keep, func(seq uint64, payload []byte) bool {
-		if badErr = decodeFrame(payload, &f); badErr != nil {
+		if canon, badErr = decodeFrame(payload, &f, canon); badErr != nil {
 			badSeq = seq
 			return false
 		}
@@ -520,8 +521,8 @@ func Recover(d *Durability, opts Options) *Recovered {
 	}
 	d.frames = nil
 	m.start()
-	for _, f := range tail {
-		m.ring <- f // pre-drain, control loop live: always delivered
+	for i := range tail {
+		m.enqueue(&tail[i], true) // pre-drain, control loop live: always delivered
 	}
 	return &Recovered{
 		Monitor:         m,

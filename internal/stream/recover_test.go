@@ -171,7 +171,12 @@ func TestWALGroupCommit(t *testing.T) {
 			opts.Durable = d
 			mon := newMonitor(opts)
 			for i := 0; i < n; i++ {
-				mon.ring <- ingestFrame("a", i)
+				if !mon.Ingest(ingestFrame("a", i)) {
+					t.Fatalf("frame %d refused before the control loop started", i)
+				}
+			}
+			if got := mon.ringLen(); got != n {
+				t.Fatalf("ring holds %d frames before the control loop started, want %d", got, n)
 			}
 			mon.start()
 			mon.Drain()

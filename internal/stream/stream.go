@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"csi/internal/capture"
 	"csi/internal/core"
@@ -185,17 +184,24 @@ type Monitor struct {
 	opts Options
 	man  *media.Manifest
 
-	ring    chan Frame
 	drainCh chan struct{}
 	tasks   chan string
 	ctrl    chan solveDone
 	doneCh  chan struct{}
 	wg      sync.WaitGroup
 
-	stopped atomic.Bool // set once by Drain; Ingest refuses afterwards
-	// ingestMu is read-held by every Ingest from its stopped check through
-	// its send; beginDrain write-locks it once before sweeping the ring.
-	ingestMu sync.RWMutex
+	// The ingest ring: a circular buffer of ringSize frames, ringN of them
+	// queued from ringHead on. ringMu guards those fields and stopped, which
+	// Drain sets once; Ingest refuses afterwards. notify holds a token
+	// whenever frames are queued and the control loop may not know it;
+	// space holds one for the ShedBlock producers waiting on a full ring.
+	ringMu   sync.Mutex
+	ring     []Frame
+	ringHead int
+	ringN    int
+	stopped  bool
+	notify   chan struct{}
+	space    chan struct{}
 
 	// mu guards the maps and slices also read from other goroutines
 	// (workers' flow lookup, Status, Drain's result pickup). The control
@@ -237,7 +243,8 @@ type Monitor struct {
 // inference — tests inject panics per flow to exercise quarantine.
 // testHookSolved, when set, receives every solve's outcome with the packet
 // count it covered, on the worker goroutine. testHookIngest, when set, runs
-// in Ingest between its stopped check and its send. Never set outside tests.
+// in Ingest between its stopped check and its copy into the ring, under the
+// ring lock. Never set outside tests.
 var (
 	testHookSolve  func(flow string)
 	testHookSolved func(flow string, packets int, inf *core.Inference, err error)
@@ -260,7 +267,9 @@ func newMonitor(opts Options) *Monitor {
 	m := &Monitor{
 		opts:        opts,
 		man:         opts.Manifest,
-		ring:        make(chan Frame, ringSize),
+		ring:        make([]Frame, ringSize),
+		notify:      make(chan struct{}, 1),
+		space:       make(chan struct{}, 1),
 		drainCh:     make(chan struct{}),
 		tasks:       make(chan string, workers*2),
 		ctrl:        make(chan solveDone, workers*2),
@@ -301,36 +310,64 @@ func (m *Monitor) start() {
 // without ingesting once Drain has begun; a frame for which it returns
 // true is always processed.
 func (m *Monitor) Ingest(f Frame) bool {
-	// The read lock spans the stopped check and the send: beginDrain takes
-	// the write lock before it sweeps the ring, so no accepted frame can
-	// land in the ring after the sweep. The one wait under it is the
-	// ShedBlock select below, which drainCh ends: Drain closes drainCh
-	// before the control loop can reach beginDrain.
-	m.ingestMu.RLock()
-	defer m.ingestMu.RUnlock()
-	if m.stopped.Load() {
+	return m.enqueue(&f, m.opts.ShedPolicy == ShedBlock)
+}
+
+// enqueue copies f into the ring's tail slot. With block set a producer
+// facing a full ring waits for the control loop to make space, or for
+// Drain; otherwise the frame is shed. The stopped check and the copy share
+// one critical section, so once Drain has set stopped no further frame
+// lands in the ring, and every frame already there is swept by beginDrain.
+func (m *Monitor) enqueue(f *Frame, block bool) bool {
+	waited := false
+	m.ringMu.Lock()
+	for m.ringN == ringSize && !m.stopped {
+		m.ringMu.Unlock()
+		if !block {
+			m.cShed.Inc() // ShedDrop: the newest frame goes
+			return false
+		}
+		//csi-vet:ignore taint -- back-pressure wait: either arm only sends the producer back to retry under the ring lock, where the frame takes its FIFO place or is refused because Drain set stopped; which arm fires decides nothing
+		select {
+		case <-m.space:
+		case <-m.drainCh:
+		}
+		waited = true
+		m.ringMu.Lock()
+	}
+	if m.stopped {
+		m.ringMu.Unlock()
 		return false
 	}
 	if testHookIngest != nil {
 		testHookIngest()
 	}
-	//csi-vet:ignore taint -- non-blocking send: under ShedBlock a full ring falls through to the blocking send below, which gives the frame the same place in the ring FIFO; under ShedDrop a full ring sheds by design (live mode), and replay uses ShedBlock, so no replayed result depends on which arm fires
+	tail := m.ringHead + m.ringN
+	if tail >= ringSize {
+		tail -= ringSize
+	}
+	m.ring[tail] = *f
+	m.ringN++
+	wasEmpty, room := m.ringN == 1, m.ringN < ringSize
+	m.ringMu.Unlock()
+	if wasEmpty {
+		signal(m.notify)
+	}
+	if waited && room {
+		// Pass the wake-up on: the control loop signals space once per
+		// batch it takes from a full ring, and other producers may wait.
+		signal(m.space)
+	}
+	return true
+}
+
+// signal leaves a token in the one-slot channel c unless one is there.
+func signal(c chan struct{}) {
+	//csi-vet:ignore taint -- token post: a full slot already carries the same wake-up, so the dropped send changes nothing the receiver sees
 	select {
-	case m.ring <- f:
-		return true
+	case c <- struct{}{}:
 	default:
 	}
-	if m.opts.ShedPolicy == ShedBlock {
-		//csi-vet:ignore taint -- back-pressure select: either arm enqueues-or-drops a frame whose processing order is fixed by the ring FIFO, not by which case fires
-		select {
-		case m.ring <- f:
-			return true
-		case <-m.drainCh:
-			return false
-		}
-	}
-	m.cShed.Inc() // ShedDrop: the newest frame goes
-	return false
 }
 
 // Drain stops ingestion, processes every frame still buffered in the ring,
@@ -338,9 +375,12 @@ func (m *Monitor) Ingest(f Frame) bool {
 // for the pool to wind down and returns all results in commit order. Safe
 // to call once; Ingest returns false afterwards.
 func (m *Monitor) Drain() []Result {
-	if m.stopped.CompareAndSwap(false, true) {
+	m.ringMu.Lock()
+	if !m.stopped {
+		m.stopped = true
 		close(m.drainCh)
 	}
+	m.ringMu.Unlock()
 	<-m.doneCh
 	m.wg.Wait()
 	m.mu.Lock()
@@ -403,25 +443,25 @@ func (m *Monitor) Status() any {
 }
 
 // frameBatch bounds the frames the control loop takes from the ring per
-// pass of its select: after a frame arrives it takes up to frameBatch-1
-// more without waiting, logs and applies them, then returns to the select,
-// so solve completions are still serviced when the ring never empties.
+// pass of its select: it takes up to frameBatch frames under one lock,
+// logs and applies them, then returns to the select, so solve completions
+// are still serviced when the ring never empties.
 const frameBatch = 256
 
 // run is the control goroutine: sole owner of the flow table and of every
 // finalization decision.
 func (m *Monitor) run() {
-	ring, drain := m.ring, m.drainCh
+	notify, drain := m.notify, m.drainCh
 	for {
 		//csi-vet:ignore taint -- control select: frame handling and solve completions commute (a solving flow's trace is frozen; arrivals buffer in pending), and results commit strictly in finalization-sequence order, so the firing order never reaches an output
 		select {
-		case f := <-ring:
-			m.applyBatch(f, true)
+		case <-notify:
+			m.applyBatch(true)
 		case d := <-m.ctrl:
 			m.handleDone(d)
 		case <-drain:
 			m.beginDrain()
-			ring, drain = nil, nil // processed; stop selecting on both
+			notify, drain = nil, nil // processed; stop selecting on both
 		}
 		m.dispatch()
 		m.maybeSnapshot()
@@ -434,22 +474,18 @@ func (m *Monitor) run() {
 }
 
 // applyBatch is the control loop's take→log→apply step, shared by the
-// select, the drain sweep and so by Recover's tail: it takes f and up to
-// frameBatch-1 more buffered frames from the ring, logs them all to the
-// WAL (one write unless an fsync point or a rotation splits it), and only
-// then applies them in order. So every frame is in the WAL before any
-// state it changes, and a crash loses only frames never applied — as it
-// loses the frames still in the ring. With service set it dispatches
-// queued solves and tries a due snapshot between frames, as the select
-// does between events.
-func (m *Monitor) applyBatch(f Frame, service bool) {
-	batch := append(m.batch[:0], f)
-	for len(batch) < frameBatch {
-		var ok bool
-		if f, ok = m.takeFrame(); !ok {
-			break
-		}
-		batch = append(batch, f)
+// select, the drain sweep and so by Recover's tail: it takes up to
+// frameBatch frames from the ring, logs them all to the WAL (one write
+// unless an fsync point or a rotation splits it), and only then applies
+// them in order. So every frame is in the WAL before any state it changes,
+// and a crash loses only frames never applied — as it loses the frames
+// still in the ring. With service set it dispatches queued solves and tries
+// a due snapshot between frames, as the select does between events. It
+// reports whether the ring held any frame.
+func (m *Monitor) applyBatch(service bool) bool {
+	batch := m.takeBatch()
+	if len(batch) == 0 {
+		return false
 	}
 	if d := m.opts.Durable; d != nil {
 		d.logBatch(m.seq+1, batch)
@@ -463,18 +499,38 @@ func (m *Monitor) applyBatch(f Frame, service bool) {
 	}
 	clear(batch) // drop the frames' strings; keep the backing array
 	m.batch = batch
+	return true
 }
 
-// takeFrame receives the next buffered frame without waiting; ok is false
-// when the ring is empty.
-func (m *Monitor) takeFrame() (f Frame, ok bool) {
-	//csi-vet:ignore taint -- non-blocking receive: frames leave the ring in FIFO order whichever arm fires; an empty ring only ends a batch early (the control select then takes the same frames, or a completion that commutes with them) or ends the drain sweep, after which Ingest accepts nothing
-	select {
-	case f = <-m.ring:
-		return f, true
-	default:
-		return f, false
+// takeBatch moves up to frameBatch frames from the head of the ring into
+// m.batch under one lock. Frames left behind re-arm notify, so the control
+// select comes back for them after servicing whatever else is ready; a
+// batch taken from a full ring wakes a ShedBlock producer waiting on it.
+func (m *Monitor) takeBatch() []Frame {
+	batch := m.batch[:0]
+	m.ringMu.Lock()
+	k := min(m.ringN, frameBatch)
+	wasFull := m.ringN == ringSize
+	// The k frames sit in at most two runs: up to the end of the buffer,
+	// then from its start.
+	first := m.ring[m.ringHead:min(m.ringHead+k, ringSize)]
+	second := m.ring[:k-len(first)]
+	batch = append(append(batch, first...), second...)
+	clear(first) // the ring keeps no strings it no longer queues
+	clear(second)
+	if m.ringHead += k; m.ringHead >= ringSize {
+		m.ringHead -= ringSize
 	}
+	m.ringN -= k
+	more := m.ringN > 0
+	m.ringMu.Unlock()
+	if more {
+		signal(m.notify)
+	}
+	if wasFull && k > 0 {
+		signal(m.space)
+	}
+	return batch
 }
 
 func (m *Monitor) flowCount() int {
@@ -487,13 +543,8 @@ func (m *Monitor) flowCount() int {
 // processed — replay depends on it), then finalizes every remaining flow in
 // sorted name order.
 func (m *Monitor) beginDrain() {
-	// A barrier, not a critical section: wait out every Ingest that passed
-	// its stopped check before Drain set it. Later calls refuse, so after
-	// this the ring can only shrink.
-	m.ingestMu.Lock()
-	m.ingestMu.Unlock()
-	for f, ok := m.takeFrame(); ok; f, ok = m.takeFrame() {
-		m.applyBatch(f, false)
+	// Drain set stopped under the ring lock, so the ring can only shrink.
+	for m.applyBatch(false) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -29,7 +29,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-func testManifest(t *testing.T, d session.Design) *media.Manifest {
+func testManifest(t testing.TB, d session.Design) *media.Manifest {
 	t.Helper()
 	audio := 0
 	if d.Separate() {
@@ -41,7 +41,7 @@ func testManifest(t *testing.T, d session.Design) *media.Manifest {
 	})
 }
 
-func testSession(t *testing.T, man *media.Manifest, d session.Design, seed int64, durSec float64) *capture.Trace {
+func testSession(t testing.TB, man *media.Manifest, d session.Design, seed int64, durSec float64) *capture.Trace {
 	t.Helper()
 	res, err := session.Run(session.Config{
 		Design:    d,
@@ -537,10 +537,11 @@ func TestIdleEvictVirtualTime(t *testing.T) {
 
 // TestShedDropUnderOverload pins the live overload policy: with the
 // control loop stalled inside a blocking OnResult, Ingest fills the ring
-// and then sheds the next frame (counted once in stream.shed_total) instead
-// of blocking the capture path. Under ShedBlock the same frame waits for
-// the stall to clear and is never shed. Either way Drain returns every
-// flow once the stall is released.
+// and then sheds each next frame (counted once in stream.shed_total)
+// instead of blocking the capture path. Under ShedBlock those frames'
+// producers wait for the stall to clear, every one of them is woken, and
+// nothing is shed. Either way Drain returns every flow once the stall is
+// released.
 func TestShedDropUnderOverload(t *testing.T) {
 	testleak.Check(t)
 	man := testManifest(t, session.SH)
@@ -572,8 +573,16 @@ func TestShedDropUnderOverload(t *testing.T) {
 					t.Fatalf("frame %d refused before the ring was full", i)
 				}
 			}
-			accepted := make(chan bool, 1)
-			go func() { accepted <- mon.Ingest(Frame{Flow: "busy", Packet: tr.Packets[0]}) }()
+			if n := mon.ringLen(); n != ringSize {
+				t.Fatalf("ring holds %d frames with the control loop stalled, want %d", n, ringSize)
+			}
+			// Several producers meet the full ring: under ShedBlock each must
+			// be woken once the stall clears, not only the first.
+			const late = 4
+			accepted := make(chan bool, late)
+			for i := 0; i < late; i++ {
+				go func() { accepted <- mon.Ingest(Frame{Flow: "busy", Packet: tr.Packets[0]}) }()
+			}
 			select {
 			case ok := <-accepted:
 				if policy == ShedBlock {
@@ -582,18 +591,25 @@ func TestShedDropUnderOverload(t *testing.T) {
 				if ok {
 					t.Fatalf("Ingest accepted a frame on a full ring under ShedDrop")
 				}
+				for i := 1; i < late; i++ {
+					if waitFor(t, accepted, "a shed frame") {
+						t.Fatalf("Ingest accepted a frame on a full ring under ShedDrop")
+					}
+				}
 			case <-time.After(200 * time.Millisecond):
 				if policy == ShedDrop {
 					t.Fatalf("Ingest blocked on a full ring under ShedDrop")
 				}
 			}
 			unstall()
-			wantBusy, wantShed := ringSize, int64(1)
+			wantBusy, wantShed := ringSize, int64(late)
 			if policy == ShedBlock {
-				if !<-accepted {
-					t.Fatalf("Ingest refused the waiting frame after the stall cleared")
+				for i := 0; i < late; i++ {
+					if !waitFor(t, accepted, "a producer waiting on the full ring") {
+						t.Fatalf("Ingest refused a waiting frame after the stall cleared")
+					}
 				}
-				wantBusy, wantShed = ringSize+1, 0
+				wantBusy, wantShed = ringSize+late, 0
 			}
 			results := mon.Drain()
 			if got := obsT.Metrics().Counter("stream.shed_total").Value(); got != wantShed {

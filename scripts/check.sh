@@ -11,28 +11,30 @@
 #                                  machine-readable report as csi-vet.json
 #   5. go test -race ./...         full test suite under the race detector
 #   6. bench smoke                 one iteration of each mux search
-#                                  microbenchmark pair (kernel vs serial) and
-#                                  of the whole-session simulator benchmarks
+#                                  microbenchmark pair (kernel vs serial), of
+#                                  the whole-session simulator benchmarks and
+#                                  of the monitor's frame reader and ingest
 #   7. traced quickstart           csi-run + csi-analyze with -trace-out/-metrics,
 #                                  diffed byte-for-byte against testdata/obs/
 #   8. error-exit flush            csi-analyze failing on a missing run file
 #                                  still writes its profiles, trace and metrics
 #   9. live ops plane smoke        csi-paper -serve probed by livesmoke.go, then
 #                                  the traced quickstart again with -serve on
-#  10. half-cache goldens          csi-analyze -half-cache-mb vs testdata/obs/
-#  11. perfbench self-check        every benchmark workload at its smallest size
-#  12. fuzz smokes                 capture decoders and the -faults parser
-#  13. fault goldens               impaired runs are byte-deterministic and the
+#  10. sweep stdout determinism    two csi-paper table4-ch runs, stdout cmp'd
+#  11. half-cache goldens          csi-analyze -half-cache-mb vs testdata/obs/
+#  12. perfbench self-check        every benchmark workload at its smallest size
+#  13. fuzz smokes                 capture decoders and the -faults parser
+#  14. fault goldens               impaired runs are byte-deterministic and the
 #                                  degraded inference matches testdata/obs/
-#  14. monitor replay              csi-monitord -replay == -batch, byte for byte
-#  15. monitor live smoke          frames on stdin: one result per flow
-#  16. monitor eviction smoke      a one-slot flow table evicts with a warning
-#  17. crash-recovery matrix       kill at each crashpoint, recover, cmp to the
+#  15. monitor replay              csi-monitord -replay == -batch, byte for byte
+#  16. monitor live smoke          frames on stdin: one result per flow
+#  17. monitor eviction smoke      a one-slot flow table evicts with a warning
+#  18. crash-recovery matrix       kill at each crashpoint, recover, cmp to the
 #                                  uninterrupted replay
-#  18. fuzz smokes                 WAL salvage, stream ingest, frame codec,
+#  19. fuzz smokes                 WAL salvage, stream ingest, frame codec,
 #                                  incremental Step 1
-#  19. bounded inference smoke     a one-step work budget yields a partial result
-#  20. degradation sweep smoke     TestFaultSweepSmoke
+#  20. bounded inference smoke     a one-step work budget yields a partial result
+#  21. degradation sweep smoke     TestFaultSweepSmoke
 #
 # Any failure aborts the gate. Run from anywhere inside the repository.
 # `check.sh -quick` trims the crash-recovery matrix to its two
@@ -74,11 +76,13 @@ go test -race -timeout 30m ./...
 
 echo "== bench smoke (1 iteration)"
 # One iteration of each mux candidate-search microbenchmark pair (parallel
-# kernel vs serial reference) and of the session benchmarks that time
-# simulator event dispatch, so they cannot rot without failing the gate.
+# kernel vs serial reference), of the session benchmarks that time
+# simulator event dispatch and of the monitor's frame reader and ingest
+# path, so they cannot rot without failing the gate.
 go test -run='^$' -bench='^Benchmark(MuxCandidateSearch|WindowStats)(Serial)?$' \
     -benchtime=1x ./internal/core > /dev/null
 go test -run='^$' -bench='^BenchmarkSessionRun(SH|CQ)$' -benchtime=1x ./internal/session > /dev/null
+go test -run='^$' -bench='^Benchmark(FrameReader|Ingest)$' -benchtime=1x ./internal/stream > /dev/null
 
 echo "== traced quickstart vs committed obs goldens"
 # The same fixed-seed pipeline the TestObsGoldenDeterminism fixture runs,
@@ -144,6 +148,13 @@ go run ./cmd/csi-analyze -manifest "$obstmp/man.json" -run "$obstmp/run.json" \
     -trace-out "$obstmp/infer2.trace.jsonl" -metrics "$obstmp/infer2.metrics.txt" > /dev/null 2>&1
 cmp "$obstmp/infer2.trace.jsonl" testdata/obs/infer.trace.jsonl
 cmp "$obstmp/infer2.metrics.txt" testdata/obs/infer.metrics.txt
+
+echo "== csi-paper stdout determinism"
+# Identical invocations must print identical bytes: the per-experiment
+# wall-clock lines go to stderr, so two runs of one sweep cmp equal.
+"$obstmp/csi-paper" -scale quick table4-ch > "$obstmp/paper1.out" 2> /dev/null
+"$obstmp/csi-paper" -scale quick table4-ch > "$obstmp/paper2.out" 2> /dev/null
+cmp "$obstmp/paper1.out" "$obstmp/paper2.out"
 
 echo "== golden byte-identity with the process half-cache enabled"
 # The inference must not change when the process-wide half-enumeration
