@@ -397,16 +397,9 @@ func (e *noMuxEval) accuracyRange(truth []capture.TruthRecord) (float64, float64
 		}
 		truth = alignTruth(g.reqs, truth)
 	}
-	backing := make([]float64, 3*n)
-	minW := backing[0:n:n]
-	maxW := backing[n : 2*n : 2*n]
-	opts := backing[2*n : 3*n : 3*n]
+	minW, maxW, opts := unitAudioWeights(g)
 	for i := range g.layers {
 		la := g.layers[i]
-		opts[i] = float64(len(la.audio))
-		if len(la.audio) == 0 {
-			opts[i] = 1
-		}
 		anyMatch, anyMiss := false, false
 		for _, at := range la.audio {
 			if truth[i].Kind == media.Audio && truth[i].Ref.Track == at {
@@ -455,40 +448,37 @@ func alignTruth(reqs []Request, truth []capture.TruthRecord) []capture.TruthReco
 
 func identifyNoMux(man *media.Manifest, est *Estimation, p Params) (*Inference, error) {
 	span := p.Obs.Begin("core", "identify", obs.Int("requests", int64(len(est.Requests))))
-	stop := p.stageStart("candidates")
-	g := buildNoMuxGraph(man, est.Requests, p)
-	stageStop(stop)
-	minW, maxW, opts := unitAudioWeights(g)
-	stop = p.stageStart("dp")
-	total, vals := g.runDP(minW, maxW, opts, func(int, media.ChunkRef) float64 { return 0 })
-	stageStop(stop)
-	var warns []Warning
-	if !total.ok && p.Degrade && !p.Guard.Stopped() {
-		// Relaxed-K ladder: gap repair reconstructs bytes approximately, so
-		// a repaired estimate can overshoot the protocol's measured error
-		// bound. Widening k trades candidate precision for a result. A
-		// stopped guard skips the ladder — each rung rebuilds the graph and
-		// reruns the DP, exactly the work the budget forbids.
-		for _, mult := range []float64{2, 4} {
-			if p.Guard.Stopped() {
-				break
-			}
-			pr := p
-			pr.K = p.K * mult
-			stop := p.stageStart("candidates")
-			g2 := buildNoMuxGraph(man, est.Requests, pr)
-			stageStop(stop)
-			m2, x2, o2 := unitAudioWeights(g2)
-			stop = p.stageStart("dp")
-			t2, v2 := g2.runDP(m2, x2, o2, func(int, media.ChunkRef) float64 { return 0 })
-			stageStop(stop)
-			if t2.ok {
+	var (
+		g     *noMuxGraph
+		total dpVals
+		vals  [][]dpVals
+		warns []Warning
+	)
+	// Relaxed-K ladder: gap repair reconstructs bytes approximately, so a
+	// repaired estimate can overshoot the protocol's measured error bound.
+	// Under Degrade, widening k trades candidate precision for a result. A
+	// stopped guard skips the wider rungs — each rebuilds the graph and
+	// reruns the DP, exactly the work the budget forbids.
+	for rung, mult := range []float64{1, 2, 4} {
+		if rung > 0 && (!p.Degrade || p.Guard.Stopped()) {
+			break
+		}
+		pr := p
+		pr.K = p.K * mult
+		stop := p.stageStart("candidates")
+		g = buildNoMuxGraph(man, est.Requests, pr)
+		stageStop(stop)
+		minW, maxW, opts := unitAudioWeights(g)
+		stop = p.stageStart("dp")
+		total, vals = g.runDP(minW, maxW, opts, func(int, media.ChunkRef) float64 { return 0 })
+		stageStop(stop)
+		if total.ok {
+			if rung > 0 {
 				warns = append(warns, Warning{Code: "k_relaxed",
 					Detail: fmt.Sprintf("no sequence at k=%.3f; matched at k=%.3f", p.K, pr.K)})
 				p.Obs.Metrics().Counter("core.k_relaxed").Inc()
-				g, total, vals = g2, t2, v2
-				break
 			}
+			break
 		}
 	}
 	if !total.ok {

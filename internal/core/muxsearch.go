@@ -28,7 +28,7 @@ import (
 //     withTruthWeights eval pass all reuse the compressed halfCombo slices
 //     instead of re-enumerating them; enumeration scratch is pooled.
 //  3. A bounded worker pool (GOMAXPROCS semaphore, as in
-//     internal/experiments) evaluates windows concurrently. Results are
+//     internal/guard/runner) evaluates windows concurrently. Results are
 //     committed strictly in submission order, and GroupSearchBudget is
 //     charged at commit time — each half's enumeration cost is charged
 //     exactly once, at its first committed use — so candidate lists,

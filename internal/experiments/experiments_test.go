@@ -92,21 +92,45 @@ func TestTable3Runs(t *testing.T) {
 	}
 }
 
-func TestTable4QuickCH(t *testing.T) {
-	sc := Quick
-	sc.Traces = 2
-	tab, err := Table4(sc, session.CH)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tab.String())
-	// Best output should contain ground truth in every quick CH run.
-	var v float64
-	if _, err := fmt.Sscan(tab.Rows[0][2], &v); err != nil {
-		t.Fatal(err)
-	}
-	if v < 99 {
-		t.Errorf("CH best:100%% = %.1f%%, want ~100%%", v)
+// TestTable4Quick puts accuracy floors on the Table 4 sweep at the Quick
+// scale: the values csi-paper -scale quick prints, so a change to the
+// session grid cannot lower accuracy unnoticed.
+func TestTable4Quick(t *testing.T) {
+	const runs = "12" // 4 videos x 3 traces x 1 rep
+	for _, c := range []struct {
+		design session.Design
+		all    float64            // minimum of every column, in %
+		floors map[string]float64 // per-column minimum overriding all
+	}{
+		{session.CH, 100, nil},
+		{session.SH, 100, nil},
+		{session.CQ, 0, map[string]float64{"best:100%": 91.7, "best:5pct": 55.0}},
+	} {
+		t.Run(c.design.String(), func(t *testing.T) {
+			tab, err := Table4(Quick, c.design)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Log("\n" + tab.String())
+			row := tab.Rows[0]
+			if row[1] != runs {
+				t.Fatalf("runs = %s, want %s", row[1], runs)
+			}
+			for col := 2; col < len(row); col++ {
+				name := tab.Header[col]
+				floor := c.all
+				if f, ok := c.floors[name]; ok {
+					floor = f
+				}
+				var v float64
+				if _, err := fmt.Sscan(row[col], &v); err != nil {
+					t.Fatal(err)
+				}
+				if v < floor {
+					t.Errorf("%v %s = %.1f%%, want >= %.1f%%", c.design, name, v, floor)
+				}
+			}
+		})
 	}
 }
 

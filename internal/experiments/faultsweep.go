@@ -7,9 +7,7 @@ import (
 	"csi/internal/core"
 	"csi/internal/faults"
 	"csi/internal/guard"
-	"csi/internal/guard/runner"
 	"csi/internal/media"
-	"csi/internal/netem"
 	"csi/internal/qoe"
 	"csi/internal/session"
 	"csi/internal/stats"
@@ -82,121 +80,36 @@ func FaultSweep(sc Scale, levels []FaultLevel, designs ...session.Design) (*Tabl
 		},
 	}
 	for _, d := range designs {
-		audio := 0
-		if d.Separate() {
-			audio = 1
+		runs, err := sweepGrid(d, sc, "fault", 1700, 3, 1)
+		if err != nil {
+			return nil, err
 		}
-		nv := sc.Videos
-		if nv > 3 {
-			nv = 3
-		}
-		var videos []*media.Manifest
-		for v := 0; v < nv; v++ {
-			man, err := media.Encode(media.EncodeConfig{
-				Name: fmt.Sprintf("fault-%d", v), Seed: 1700 + int64(v)*13,
-				DurationSec: 780 + 300*float64(v), ChunkDur: 5,
-				TargetPASR:  1.3 + 0.2*float64(v%4),
-				AudioTracks: audio,
-			})
-			if err != nil {
-				return nil, err
-			}
-			videos = append(videos, man)
-		}
-		traces := netem.CellularTraceSet(77, sc.Traces)
-
-		type job struct {
-			man  *media.Manifest
-			bw   *netem.BandwidthTrace
-			seed int64
-		}
-		var jobs []job
-		for vi, man := range videos {
-			for ti, bw := range traces {
-				jobs = append(jobs, job{man: man, bw: bw, seed: int64(vi*1000 + ti*10)})
-			}
-		}
-
 		// Stream every session once, then score all levels against the same
-		// captured bytes. Jobs run under the supervised runner; per-job
-		// results land in index order, so the aggregate is deterministic.
-		results := make([][]faultOutcome, len(jobs))
-		skipped := make([]bool, len(jobs))
-		tasks := make([]runner.Task, len(jobs))
-		for ji, jb := range jobs {
-			ji, jb := ji, jb
-			tasks[ji] = runner.Task{
-				Name: fmt.Sprintf("fault/%v/seed-%d", d, jb.seed),
-				Run: func(g *guard.Ctx) error {
-					res, err := session.Run(session.Config{
-						Design: d, Manifest: jb.man, Bandwidth: jb.bw,
-						Duration: sc.SessionSec, Seed: jb.seed,
-						Obs: sc.Obs.Child(),
-					})
-					if err != nil {
-						return fmt.Errorf("experiments: fault sweep seed %d: %w", jb.seed, err)
-					}
-					if len(res.Run.Truth) < 5 {
-						skipped[ji] = true
-						return nil
-					}
-					outs := make([]faultOutcome, len(levels))
-					for li, lvl := range levels {
-						run := res.Run
-						if lvl.Spec.Enabled() {
-							js := lvl.Spec
-							// Every job sees a different realization of the same
-							// impairment level, deterministically.
-							js.Seed = js.Seed*1_000_003 + jb.seed*7919 + int64(li)
-							run, _ = faults.Apply(res.Run, js, sc.Obs.Child())
-						}
-						outs[li] = scoreFaultRun(jb.man, run, d, sc, g)
-					}
-					// Drain artifacts are not data points (budget stops are).
-					if g.Code() == guard.CodeCancelled {
-						skipped[ji] = true
-						return nil
-					}
-					results[ji] = outs
-					return nil
-				},
+		// captured bytes.
+		results, err := runSweep(d, sc, "fault", runs, func(r sweepRun, run *capture.Run, g *guard.Ctx) []faultOutcome {
+			outs := make([]faultOutcome, len(levels))
+			for li, lvl := range levels {
+				impaired := run
+				if lvl.Spec.Enabled() {
+					js := lvl.Spec
+					// Every run sees a different realization of the same
+					// impairment level, deterministically.
+					js.Seed = js.Seed*1_000_003 + r.seed*7919 + int64(li)
+					impaired, _ = faults.Apply(run, js, sc.Obs.Child())
+				}
+				outs[li] = scoreFaultRun(r.man, impaired, d, sc, g)
 			}
+			return outs
+		})
+		if err != nil {
+			return nil, err
 		}
-		rres := runner.Run(tasks, runnerPolicy(sc))
-		var firstErr error
-		for ji, r := range rres {
-			if r.Err == nil {
-				continue
-			}
-			skipped[ji] = true
-			if r.Panicked || r.Cancelled {
-				continue
-			}
-			if firstErr == nil {
-				firstErr = r.Err
-			}
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-
-		used := 0
-		for ji := range results {
-			if !skipped[ji] {
-				used++
-			}
-		}
-		if used == 0 {
-			return nil, fmt.Errorf("experiments: no usable fault-sweep runs for %v", d)
-		}
+		n := float64(len(results))
 		for li, lvl := range levels {
 			var best, worst, conf []float64
 			warned, zero, qoeOK := 0, 0, 0
-			for ji := range results {
-				if skipped[ji] {
-					continue
-				}
-				o := results[ji][li]
+			for _, outs := range results {
+				o := outs[li]
 				best = append(best, o.best)
 				worst = append(worst, o.worst)
 				conf = append(conf, o.conf)
@@ -210,9 +123,8 @@ func FaultSweep(sc Scale, levels []FaultLevel, designs ...session.Design) (*Tabl
 					qoeOK++
 				}
 			}
-			n := float64(used)
 			t.Rows = append(t.Rows, []string{
-				d.String(), lvl.Name, lvl.Spec.String(), fmt.Sprintf("%d", used),
+				d.String(), lvl.Name, lvl.Spec.String(), fmt.Sprintf("%d", len(results)),
 				pct(stats.Mean(best)), pct(stats.Mean(worst)), f2(stats.Mean(conf)),
 				pct(float64(warned) / n), pct(float64(zero) / n), pct(float64(qoeOK) / n),
 			})

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sync"
 
+	"csi/internal/capture"
 	"csi/internal/core"
 	"csi/internal/guard"
-	"csi/internal/guard/runner"
-	"csi/internal/media"
-	"csi/internal/netem"
 	"csi/internal/session"
 	"csi/internal/stats"
 )
@@ -23,141 +21,38 @@ type runOutcome struct {
 }
 
 // evalRuns executes the Table 4 protocol for one design: stream multiple
-// videos over multiple bandwidth traces, infer with CSI, and score best and
-// worst candidate sequences against ground truth, with and without
-// displayed-chunk information.
+// videos (the paper evaluates 5 uploaded videos) over multiple bandwidth
+// traces, infer with CSI, and score best and worst candidate sequences
+// against ground truth, with and without displayed-chunk information.
 func evalRuns(design session.Design, sc Scale) ([]runOutcome, error) {
-	audio := 0
-	if design.Separate() {
-		audio = 1
+	runs, err := sweepGrid(design, sc, "eval", 900, 5, sc.Reps)
+	if err != nil {
+		return nil, err
 	}
-	var videos []*media.Manifest
-	nv := sc.Videos
-	if nv > 5 {
-		nv = 5 // the paper evaluates 5 uploaded videos
-	}
-	for v := 0; v < nv; v++ {
-		man, err := media.Encode(media.EncodeConfig{
-			Name: fmt.Sprintf("eval-%d", v), Seed: 900 + int64(v)*13,
-			DurationSec: 780 + 300*float64(v), ChunkDur: 5,
-			TargetPASR:  1.3 + 0.2*float64(v%4),
-			AudioTracks: audio,
-		})
-		if err != nil {
-			return nil, err
+	return runSweep(design, sc, "eval", runs, func(r sweepRun, run *capture.Run, g *guard.Ctx) runOutcome {
+		o := runOutcome{}
+		p := core.Params{
+			MediaHost: r.man.Host, Mux: design == session.SQ,
+			Obs: sc.Obs.Child(), Guard: g, Stages: sc.Stages,
+			HalfCache: sc.HalfCache,
 		}
-		videos = append(videos, man)
-	}
-	traces := netem.CellularTraceSet(77, sc.Traces)
-
-	type job struct {
-		man  *media.Manifest
-		bw   *netem.BandwidthTrace
-		seed int64
-	}
-	var jobs []job
-	for vi, man := range videos {
-		for ti, bw := range traces {
-			for rep := 0; rep < sc.Reps; rep++ {
-				jobs = append(jobs, job{man: man, bw: bw, seed: int64(vi*1000 + ti*10 + rep)})
+		inf, err := core.Infer(r.man, run.Trace, p)
+		if err != nil {
+			o.err = err
+		} else {
+			o.best, o.worst, o.err = inf.AccuracyRange(run.Truth)
+			o.uniqueSeq = inf.SequenceCount == 1
+			for _, g := range inf.Groups {
+				o.groups = append(o.groups, len(g.ReqTimes))
 			}
 		}
-	}
-
-	// Runs are independent simulations supervised by the guard runner: each
-	// task streams one session and infers it under a per-task guard, so a
-	// stuck or panicking run is bounded and contained instead of wedging the
-	// whole sweep. A sentinel outcome marks skipped runs (trace too slow to
-	// stream, or a task that could not complete).
-	results := make([]runOutcome, len(jobs))
-	skipped := make([]bool, len(jobs))
-	tasks := make([]runner.Task, len(jobs))
-	for ji, jb := range jobs {
-		ji, jb := ji, jb
-		tasks[ji] = runner.Task{
-			Name: fmt.Sprintf("%v/seed-%d", design, jb.seed),
-			Run: func(g *guard.Ctx) error {
-				res, err := session.Run(session.Config{
-					Design: design, Manifest: jb.man, Bandwidth: jb.bw,
-					Duration: sc.SessionSec, Seed: jb.seed,
-					Obs: sc.Obs.Child(),
-				})
-				if err != nil {
-					return fmt.Errorf("experiments: run seed %d: %w", jb.seed, err)
-				}
-				if len(res.Run.Truth) < 5 {
-					skipped[ji] = true // trace too slow to stream anything meaningful
-					return nil
-				}
-				o := runOutcome{}
-				p := core.Params{
-					MediaHost: jb.man.Host, Mux: design == session.SQ,
-					Obs: sc.Obs.Child(), Guard: g, Stages: sc.Stages,
-					HalfCache: sc.HalfCache,
-				}
-				inf, err := core.Infer(jb.man, res.Run.Trace, p)
-				if err != nil {
-					o.err = err
-					o.best, o.worst = 0, 0
-				} else {
-					o.best, o.worst, err = inf.AccuracyRange(res.Run.Truth)
-					if err != nil {
-						o.err = err
-					}
-					o.uniqueSeq = inf.SequenceCount == 1
-					for _, g := range inf.Groups {
-						o.groups = append(o.groups, len(g.ReqTimes))
-					}
-				}
-				pd := p
-				pd.Display = res.Run.Display
-				infd, err := core.Infer(jb.man, res.Run.Trace, pd)
-				if err == nil {
-					o.bestDisp, o.worstDisp, _ = infd.AccuracyRange(res.Run.Truth)
-					o.uniqueDisp = infd.SequenceCount == 1
-				}
-				// An interrupt-cancelled run is a drain artifact, not a
-				// scored outcome; budget-exhausted runs DO count — their
-				// zero rows are what an operator with that budget gets.
-				if g.Code() == guard.CodeCancelled {
-					skipped[ji] = true
-					return nil
-				}
-				results[ji] = o
-				return nil
-			},
+		p.Display = run.Display
+		if infd, err := core.Infer(r.man, run.Trace, p); err == nil {
+			o.bestDisp, o.worstDisp, _ = infd.AccuracyRange(run.Truth)
+			o.uniqueDisp = infd.SequenceCount == 1
 		}
-	}
-	rres := runner.Run(tasks, runnerPolicy(sc))
-	var firstErr error
-	for ji, r := range rres {
-		if r.Err == nil {
-			continue
-		}
-		skipped[ji] = true
-		// Contained failures (panics, cancellations) degrade to skipped
-		// runs so sibling sessions still count; anything else is a hard
-		// error for the sweep.
-		if r.Panicked || r.Cancelled {
-			continue
-		}
-		if firstErr == nil {
-			firstErr = r.Err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	var out []runOutcome
-	for ji := range results {
-		if !skipped[ji] {
-			out = append(out, results[ji])
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("experiments: no usable runs for %v", design)
-	}
-	return out, nil
+		return o
+	})
 }
 
 // evalCache memoizes evalRuns per (design, scale) so that Groups and Table4

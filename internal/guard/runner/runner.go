@@ -34,9 +34,6 @@ type Policy struct {
 	WorkBudget int64
 	// DeadlineSec arms a per-task wall-clock deadline; <= 0 disables.
 	DeadlineSec float64
-	// Clock supplies the deadline clock; nil defaults to guard.WallClock()
-	// (tests inject a virtual clock instead).
-	Clock func() func() float64
 	// Interrupt, when closed, cancels all in-flight guards and stops
 	// dispatching new tasks; already-running tasks drain to completion
 	// (their guards report cancelled, so they wind down quickly).
@@ -122,11 +119,7 @@ func Run(tasks []Task, pol Policy) []Result {
 		}
 		g := guard.New(pol.WorkBudget)
 		if pol.DeadlineSec > 0 {
-			clock := pol.Clock
-			if clock == nil {
-				clock = guard.WallClock
-			}
-			g.WithDeadline(clock(), pol.DeadlineSec)
+			g.WithDeadline(guard.WallClock(), pol.DeadlineSec)
 		}
 		active[g] = true
 		return g

@@ -265,10 +265,12 @@ func (m *Monitor) snapshotLocked() *Snapshot {
 // restoreSnapshot seeds a monitor whose goroutines have not started (so no
 // locking) from a recovered snapshot and frames, the WAL frames from its
 // keepFrom through its Seq (frames[i] has sequence from+i). Each live
-// flow's packets — carried in the snapshot, or else its frames — are
-// re-tapped in arrival order through the tap live ingest uses, rebuilding
-// the identical capture.Trace an uninterrupted run held; lastSeq, bytes
-// and lastTime recompute to the values handleFrame accumulated originally.
+// flow's packets — carried in the snapshot, or else its frames — go
+// through accept in arrival order, as in live ingest, rebuilding the
+// identical capture.Trace an uninterrupted run held; lastSeq, bytes,
+// lastTime and the buffer gauge recompute to the values handleFrame
+// accumulated originally. vnow stays at the snapshot's: no restored packet
+// is later than it.
 func (m *Monitor) restoreSnapshot(s *Snapshot, frames []Frame, from uint64) {
 	m.seq = s.Seq
 	m.vnow = s.VNow
@@ -278,23 +280,13 @@ func (m *Monitor) restoreSnapshot(s *Snapshot, frames []Frame, from uint64) {
 	for _, name := range s.Closed {
 		m.closed[name] = true
 	}
-	var buffered int64
-	retap := func(fs *flowState, v packet.View) {
-		fs.tap(v, v.Time)
-		fs.packets++
-		fs.bytes += frameBytes(&v)
-		buffered += frameBytes(&v)
-		if v.Time > fs.lastTime {
-			fs.lastTime = v.Time
-		}
-	}
 	for _, fsn := range s.Flows {
 		tr := capture.NewTrace()
 		fs := &flowState{name: fsn.Name, trace: tr, tap: tr.Tap(), step1: core.NewStep1(), firstSeq: fsn.FirstSeq, lastSeq: fsn.LastSeq}
 		m.flows[fsn.Name] = fs
 		m.liveFlows++
-		for _, v := range fsn.Carried {
-			retap(fs, v)
+		for i := range fsn.Carried {
+			m.accept(fs, &fsn.Carried[i])
 		}
 	}
 	for i := range frames {
@@ -304,10 +296,9 @@ func (m *Monitor) restoreSnapshot(s *Snapshot, frames []Frame, from uint64) {
 			continue // a frame of a flow committed before the snapshot, or carried in it (lastSeq set)
 		}
 		fs.lastSeq = seq
-		retap(fs, frames[i].Packet)
+		m.accept(fs, &frames[i].Packet)
 	}
 	m.gActive.Set(float64(m.liveFlows))
-	m.gBuffer.Set(float64(buffered))
 }
 
 // maybeSnapshot runs on the control loop after each event: when the

@@ -169,9 +169,9 @@ type flowState struct {
 }
 
 type solveDone struct {
-	flow string
-	inf  *core.Inference
-	err  error
+	fs  *flowState
+	inf *core.Inference
+	err error
 }
 
 // Monitor is the streaming front end of core.Infer: a control goroutine
@@ -185,7 +185,7 @@ type Monitor struct {
 	man  *media.Manifest
 
 	drainCh chan struct{}
-	tasks   chan string
+	tasks   chan *flowState
 	ctrl    chan solveDone
 	doneCh  chan struct{}
 	wg      sync.WaitGroup
@@ -204,8 +204,8 @@ type Monitor struct {
 	space    chan struct{}
 
 	// mu guards the maps and slices also read from other goroutines
-	// (workers' flow lookup, Status, Drain's result pickup). The control
-	// goroutine is the only writer.
+	// (Status, Drain's result pickup). The control goroutine is the only
+	// writer.
 	mu      sync.Mutex
 	flows   map[string]*flowState
 	closed  map[string]bool // committed flows; late frames are dropped
@@ -217,7 +217,7 @@ type Monitor struct {
 	finalSeq    uint64
 	commitNext  uint64
 	uncommitted map[uint64]Result
-	solveQ      []string
+	solveQ      []*flowState
 	liveFlows   int // flows not yet finalizing
 	draining    bool
 	// batch holds the frames of the current take→log→apply step: taken
@@ -271,7 +271,7 @@ func newMonitor(opts Options) *Monitor {
 		notify:      make(chan struct{}, 1),
 		space:       make(chan struct{}, 1),
 		drainCh:     make(chan struct{}),
-		tasks:       make(chan string, workers*2),
+		tasks:       make(chan *flowState, workers*2),
 		ctrl:        make(chan solveDone, workers*2),
 		doneCh:      make(chan struct{}),
 		flows:       make(map[string]*flowState),
@@ -606,22 +606,7 @@ func (m *Monitor) handleFrame(f *Frame) {
 		m.finalize(fs, ReasonClose)
 		return
 	}
-	v := f.Packet
-	fs.packets++
-	fs.bytes += frameBytes(&v)
-	m.gBuffer.Add(float64(frameBytes(&v)))
-	if v.Time > fs.lastTime {
-		fs.lastTime = v.Time
-	}
-	if v.Time > m.vnow {
-		m.vnow = v.Time
-	}
-	if fs.solving {
-		fs.pending = append(fs.pending, v)
-	} else {
-		fs.tap(v, v.Time)
-	}
-
+	m.accept(fs, &f.Packet)
 	if fs.bytes > m.opts.FlowMemBudget {
 		m.finalize(fs, ReasonEvictedMem)
 		return
@@ -634,6 +619,27 @@ func (m *Monitor) handleFrame(f *Frame) {
 	}
 	if m.opts.ResolveEvery > 0 && !fs.solving && fs.packets-fs.solvedAt >= m.opts.ResolveEvery {
 		m.schedule(fs, false)
+	}
+}
+
+// accept adds one packet to fs: its counters, the virtual clock and the
+// buffer gauge advance, and the packet is tapped into the trace, or held in
+// pending while a solve has the trace frozen.
+func (m *Monitor) accept(fs *flowState, v *packet.View) {
+	n := frameBytes(v)
+	fs.packets++
+	fs.bytes += n
+	m.gBuffer.Add(float64(n))
+	if v.Time > fs.lastTime {
+		fs.lastTime = v.Time
+	}
+	if v.Time > m.vnow {
+		m.vnow = v.Time
+	}
+	if fs.solving {
+		fs.pending = append(fs.pending, *v)
+	} else {
+		fs.tap(*v, v.Time)
 	}
 }
 
@@ -726,7 +732,7 @@ func (m *Monitor) schedule(fs *flowState, final bool) {
 	if final {
 		fs.finalIssued = true
 	}
-	m.solveQ = append(m.solveQ, fs.name)
+	m.solveQ = append(m.solveQ, fs)
 }
 
 // dispatch moves queued solves to the worker pool without ever blocking the
@@ -737,6 +743,7 @@ func (m *Monitor) dispatch() {
 		//csi-vet:ignore taint -- handoff select: whether a solve starts now or after the next control iteration only shifts provisional work; final results commit in finalization order regardless
 		select {
 		case m.tasks <- m.solveQ[0]:
+			m.solveQ[0] = nil // the backing array must not keep a committed flow's trace alive
 			m.solveQ = m.solveQ[1:]
 		default:
 			return
@@ -747,10 +754,7 @@ func (m *Monitor) dispatch() {
 func (m *Monitor) handleDone(d solveDone) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	fs := m.flows[d.flow]
-	if fs == nil {
-		return // already committed (quarantined while solving); drop
-	}
+	fs := d.fs
 	fs.solving = false
 	m.cSolves.Inc()
 	panicked := false
@@ -835,21 +839,14 @@ func (m *Monitor) commit(fs *flowState, inf *core.Inference, err error) {
 // worker pulls solve assignments until the task channel closes.
 func (m *Monitor) worker() {
 	defer m.wg.Done()
-	for name := range m.tasks {
-		m.ctrl <- m.solve(name)
+	for fs := range m.tasks {
+		m.ctrl <- m.solve(fs)
 	}
 }
 
 // solve runs one contained inference over a frozen flow trace.
-func (m *Monitor) solve(name string) solveDone {
-	m.mu.Lock()
-	fs := m.flows[name]
-	m.mu.Unlock()
-	d := solveDone{flow: name}
-	if fs == nil {
-		d.err = fmt.Errorf("stream: flow %s vanished before its solve", name)
-		return d
-	}
+func (m *Monitor) solve(fs *flowState) solveDone {
+	d := solveDone{fs: fs}
 	p := m.opts.Params
 	p.Guard = guard.New(m.opts.WorkBudget)
 	if m.opts.SolveDeadlineSec > 0 && m.opts.Clock != nil {
@@ -862,7 +859,7 @@ func (m *Monitor) solve(name string) solveDone {
 	p.Obs = nil
 	d.err = contain(func() error {
 		if testHookSolve != nil {
-			testHookSolve(name)
+			testHookSolve(fs.name)
 		}
 		inf, err := fs.step1.Infer(m.man, fs.trace, p)
 		if err != nil {
@@ -872,7 +869,7 @@ func (m *Monitor) solve(name string) solveDone {
 		return nil
 	})
 	if testHookSolved != nil {
-		testHookSolved(name, len(fs.trace.Packets), d.inf, d.err)
+		testHookSolved(fs.name, len(fs.trace.Packets), d.inf, d.err)
 	}
 	return d
 }

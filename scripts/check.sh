@@ -20,7 +20,8 @@
 #                                  still writes its profiles, trace and metrics
 #   9. live ops plane smoke        csi-paper -serve probed by livesmoke.go, then
 #                                  the traced quickstart again with -serve on
-#  10. sweep stdout determinism    two csi-paper table4-ch runs, stdout cmp'd
+#  10. sweep stdout determinism    two csi-paper table4-ch faults-sh runs,
+#                                  stdout cmp'd
 #  11. half-cache goldens          csi-analyze -half-cache-mb vs testdata/obs/
 #  12. perfbench self-check        every benchmark workload at its smallest size
 #  13. fuzz smokes                 capture decoders and the -faults parser
@@ -151,9 +152,11 @@ cmp "$obstmp/infer2.metrics.txt" testdata/obs/infer.metrics.txt
 
 echo "== csi-paper stdout determinism"
 # Identical invocations must print identical bytes: the per-experiment
-# wall-clock lines go to stderr, so two runs of one sweep cmp equal.
-"$obstmp/csi-paper" -scale quick table4-ch > "$obstmp/paper1.out" 2> /dev/null
-"$obstmp/csi-paper" -scale quick table4-ch > "$obstmp/paper2.out" 2> /dev/null
+# wall-clock lines go to stderr, so two runs of one sweep cmp equal. Both
+# callers of the shared session grid (runSweep) are covered: Table 4 and
+# the fault sweep.
+"$obstmp/csi-paper" -scale quick table4-ch faults-sh > "$obstmp/paper1.out" 2> /dev/null
+"$obstmp/csi-paper" -scale quick table4-ch faults-sh > "$obstmp/paper2.out" 2> /dev/null
 cmp "$obstmp/paper1.out" "$obstmp/paper2.out"
 
 echo "== golden byte-identity with the process half-cache enabled"
